@@ -543,15 +543,8 @@ def product_bundle(base: LocallyOrderedComplex, m: int) -> BundleMap:
     """
     if m < 3:
         raise InvalidInputError("a simplicial circle needs at least 3 vertices")
-    maximal_base = [
-        s
-        for s in base.simplices
-        if not any(
-            set(s) < set(t) for t in base.simplices if len(t) > len(s)
-        )
-    ]
     maximal_total = set()
-    for U in maximal_base:
+    for U in base.maximal_simplices():
         k = len(U) - 1
         for t in range(m):
             up = (t + 1) % m

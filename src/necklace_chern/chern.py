@@ -16,10 +16,12 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .complexes import LocallyOrderedComplex, Simplex, simplex_face
-from .cyclic_category import compose_word_morphisms
 from .decorations import (
     Decoration,
     _Budget,
+    _face_pair_commutes,
+    _face_pair_slots,
+    _multiplicity_vectors,
     _valid_shifts,
     candidate_budget,
     morphism_from_shift,
@@ -35,6 +37,7 @@ from .errors import (
 from .words_necklaces import (
     Necklace,
     Word,
+    WordMorphism,
     boundary_word,
     canonical_necklace,
     delete_index_face,
@@ -260,38 +263,6 @@ def _triangle_candidates(
     return tuple(entries)
 
 
-def _multiplicity_vectors_surface(
-    base: LocallyOrderedComplex, max_len: int
-) -> Iterator[Tuple[int, ...]]:
-    """Per-vertex fiber lengths with every triangle's total at most
-    max_len, in ascending total order then lexicographic."""
-    n = base.vertex_count
-    triangles = base.simplices_of_dimension(2)
-    raw = []
-    limit = max_len - 2
-
-    def rec(prefix: List[int]) -> None:
-        if len(prefix) == n:
-            if all(sum(prefix[v] for v in t) <= max_len for t in triangles):
-                raw.append(tuple(prefix))
-            return
-        for value in range(1, limit + 1):
-            prefix.append(value)
-            # partial pruning: any fully determined triangle must fit
-            ok = True
-            for t in triangles:
-                if max(t) < len(prefix) and sum(prefix[v] for v in t) > max_len:
-                    ok = False
-                    break
-            if ok:
-                rec(prefix)
-            prefix.pop()
-
-    rec([])
-    raw.sort(key=lambda m: (sum(m), m))
-    return iter(raw)
-
-
 def _solve_shifts(
     base: LocallyOrderedComplex,
     words: Dict[int, Word],
@@ -337,59 +308,38 @@ def _solve_shifts(
         domains.append(options)
 
     # functoriality identities, each attached to its last-assigned slot
-    constraints_at: Dict[int, List[Tuple[int, int, int]]] = {}
-    for i, s in enumerate(base.simplices):
+    constraints_at: Dict[int, List[Tuple[Simplex, int, int, tuple]]] = {}
+    for s in base.simplices:
         if len(s) < 3:
             continue
         for j2 in range(len(s)):
             for j1 in range(j2):
-                eb = base.simplex_id(simplex_face(s, j2))
-                ea = base.simplex_id(simplex_face(s, j1))
-                fires = max(
-                    slot_pos[(i, j2)],
-                    slot_pos[(i, j1)],
-                    slot_pos[(eb, j1)],
-                    slot_pos[(ea, j2 - 1)],
+                pair = tuple(
+                    (base.simplex_id(parent), j)
+                    for parent, j in _face_pair_slots(s, j1, j2)
                 )
-                constraints_at.setdefault(fires, []).append((i, j1, j2))
+                fires = max(slot_pos[slot] for slot in pair)
+                constraints_at.setdefault(fires, []).append((s, j1, j2, pair))
 
     assignment: Dict[Tuple[int, int], int] = {}
-    morphism_cache: Dict[Tuple[int, int, int], object] = {}
-    holds_cache: Dict[Tuple[int, int, int, int, int, int, int], bool] = {}
+    morphism_cache: Dict[Tuple[int, int, int], WordMorphism] = {}
+    holds_cache: Dict[tuple, bool] = {}
 
-    def morphism(i: int, j: int):
+    def morphism(parent: Simplex, j: int) -> WordMorphism:
+        i = base.simplex_id(parent)
         t = assignment[(i, j)]
-        key = (i, j, t)
-        m = morphism_cache.get(key)
+        m = morphism_cache.get((i, j, t))
         if m is None:
-            child = words[base.simplex_id(simplex_face(base.simplices[i], j))]
+            child = words[base.simplex_id(simplex_face(parent, j))]
             m = morphism_from_shift(words[i], child, j, t)
-            morphism_cache[key] = m
+            morphism_cache[(i, j, t)] = m
         return m
 
-    def holds(i: int, j1: int, j2: int) -> bool:
-        s = base.simplices[i]
-        eb = base.simplex_id(simplex_face(s, j2))
-        ea = base.simplex_id(simplex_face(s, j1))
-        key = (
-            i,
-            j1,
-            j2,
-            assignment[(i, j1)],
-            assignment[(i, j2)],
-            assignment[(eb, j1)],
-            assignment[(ea, j2 - 1)],
-        )
+    def holds(s: Simplex, j1: int, j2: int, pair: tuple) -> bool:
+        key = (s, j1, j2) + tuple(map(assignment.__getitem__, pair))
         cached = holds_cache.get(key)
         if cached is None:
-            through_b = compose_word_morphisms(
-                morphism(i, j2), morphism(eb, j1)
-            )
-            through_a = compose_word_morphisms(
-                morphism(i, j1), morphism(ea, j2 - 1)
-            )
-            cached = through_a == through_b
-            holds_cache[key] = cached
+            cached = holds_cache[key] = _face_pair_commutes(morphism, s, j1, j2)
         return cached
 
     def dfs(pos: int) -> bool:
@@ -424,7 +374,9 @@ def achievable_chern_numbers(
     necklace tuples are pruned by boundary-necklace matching on shared
     edges, and a value is recorded only after an explicit decoration is
     constructed and checked. The result can only grow with max_len. Stops
-    early once the whole integer interval [-F/2, F/2] is achieved.
+    early once the whole integer interval [-F/2, F/2] is achieved; since
+    |P| <= 1 bounds every value by that window, the result does not depend
+    on the order in which fiber-length vectors are visited.
 
     Raises
     ------
@@ -446,7 +398,7 @@ def achievable_chern_numbers(
 
     scale = Fraction(-1, 2)
 
-    for mult in _multiplicity_vectors_surface(base, max_len):
+    for mult in _multiplicity_vectors(base, max_len):
         # candidate necklace representatives per triangle, with their
         # parities and boundary necklaces
         candidates = []

@@ -4,9 +4,7 @@ extraction, Chern cochains, and the realizable-range search.
 Exit codes: 0 success, 1 check failure, 2 input error, 3 resource bound.
 All rational output is exact, rendered in lowest terms as "p/q". Reports
 for identical inputs and flags are byte-identical apart from the final
-timing line, which --no-timing suppresses. The --threads flag is accepted
-on every subcommand; the implementation is sequential and deterministic,
-so output never depends on it.
+timing line, which --no-timing suppresses.
 """
 
 from __future__ import annotations
@@ -373,13 +371,6 @@ def cmd_range(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallelism bound; results are identical for every N",
-    )
-    common.add_argument(
         "--no-timing",
         action="store_true",
         help="suppress the trailing timing line",
@@ -462,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("input error: --threads must be at least 1")
-        return EXIT_INPUT_ERROR
     started = time.monotonic()
     try:
         code = args.func(args)

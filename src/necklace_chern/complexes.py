@@ -116,6 +116,17 @@ class LocallyOrderedComplex:
     def simplices_of_dimension(self, d: int) -> Tuple[Simplex, ...]:
         return tuple(s for s in self.simplices if len(s) == d + 1)
 
+    def maximal_simplices(self) -> Tuple[Simplex, ...]:
+        """The simplices that are a facet of no other simplex, in canonical
+        order; closure under faces makes them the maximal ones."""
+        facets = {
+            simplex_face(s, j)
+            for s in self.simplices
+            if len(s) > 1
+            for j in range(len(s))
+        }
+        return tuple(s for s in self.simplices if s not in facets)
+
     def has_simplex(self, s: Sequence[int]) -> bool:
         return tuple(s) in self._index
 

@@ -33,7 +33,6 @@ __all__ = [
     "connection_form",
     "exterior_derivative",
     "curvature",
-    "wedge",
     "wedge_power",
     "pullback_affine",
     "pullback_cyclic_gauge",
@@ -491,10 +490,6 @@ def curvature(n: int) -> ExteriorForm:
         for j in range(i + 1, n + 1):
             result = result - reduced_dl(n, i).wedge(reduced_dl(n, j))
     return result
-
-
-def wedge(f: ExteriorForm, g: ExteriorForm) -> ExteriorForm:
-    return f.wedge(g)
 
 
 def wedge_power(f: ExteriorForm, h: int) -> ExteriorForm:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import (
     LocallyOrderedComplex,
@@ -165,6 +165,34 @@ def face_morphism(d: Decoration, simplex: Sequence[int], j: int) -> WordMorphism
     return morphism_from_shift(parent, child, j, d.shift_for(simplex, j))
 
 
+def _face_pair_slots(
+    simplex: Simplex, j1: int, j2: int
+) -> Tuple[Tuple[Simplex, int], ...]:
+    """The four (parent, face) inclusions of the simplicial identity for
+    faces j1 < j2: the path through face j2 then face j1, and the path
+    through face j1 then face j2 - 1."""
+    return (
+        (simplex, j2),
+        (simplex_face(simplex, j2), j1),
+        (simplex, j1),
+        (simplex_face(simplex, j1), j2 - 1),
+    )
+
+
+def _face_pair_commutes(
+    morphism: Callable[[Simplex, int], WordMorphism],
+    simplex: Simplex,
+    j1: int,
+    j2: int,
+) -> bool:
+    """Whether both paths of the face pair (j1, j2) compose to the same word
+    morphism, with morphism(parent, j) giving each face inclusion."""
+    outer_b, inner_b, outer_a, inner_a = _face_pair_slots(simplex, j1, j2)
+    through_b = compose_word_morphisms(morphism(*outer_b), morphism(*inner_b))
+    through_a = compose_word_morphisms(morphism(*outer_a), morphism(*inner_a))
+    return through_a == through_b
+
+
 def validate_decoration(d: Decoration) -> ValidationReport:
     """Check boundary compatibility and face-chain functoriality everywhere."""
     issues: List[ValidationIssue] = []
@@ -217,30 +245,21 @@ def validate_decoration(d: Decoration) -> ValidationReport:
                 )
     if issues:
         return ValidationReport(tuple(issues))
-    # functoriality over all composable face pairs
+    morphism = partial(face_morphism, d)
     for simplex in base.simplices:
         size = len(simplex)
         if size < 3:
             continue
         for j2 in range(size):
-            middle_b = simplex_face(simplex, j2)
             for j1 in range(j2):
-                middle_a = simplex_face(simplex, j1)
                 try:
-                    through_b = compose_word_morphisms(
-                        face_morphism(d, simplex, j2),
-                        face_morphism(d, middle_b, j1),
-                    )
-                    through_a = compose_word_morphisms(
-                        face_morphism(d, simplex, j1),
-                        face_morphism(d, middle_a, j2 - 1),
-                    )
+                    commutes = _face_pair_commutes(morphism, simplex, j1, j2)
                 except InvalidInputError as exc:
                     issues.append(
                         ValidationIssue("morphism-invalid", str(exc), simplex)
                     )
                     continue
-                if through_a != through_b:
+                if not commutes:
                     issues.append(
                         ValidationIssue(
                             "functoriality-mismatch",
@@ -309,13 +328,7 @@ def _multiplicity_vectors(
 ) -> Iterator[Tuple[int, ...]]:
     """Per-vertex fiber lengths, constrained so every maximal simplex's word
     fits in max_len; ascending lexicographic order."""
-    maximal = [
-        s
-        for s in base.simplices
-        if not any(
-            set(s) < set(t) for t in base.simplices if len(t) > len(s)
-        )
-    ]
+    maximal = base.maximal_simplices()
     counts = [1] * base.vertex_count
 
     def fits() -> bool:
@@ -336,35 +349,6 @@ def _multiplicity_vectors(
 
     if fits():
         yield from rec(0)
-
-
-def _functoriality_ok(
-    words: List[Word],
-    shifts: Dict[Tuple[int, int], int],
-    base: LocallyOrderedComplex,
-    simplex_id: int,
-    j2: int,
-) -> bool:
-    """Check the face-pair identities of the given simplex that become
-    decidable once face j2's shift is assigned (those pairing it with
-    earlier faces)."""
-    simplex = base.simplices[simplex_id]
-
-    def morphism(parent: Simplex, j: int) -> WordMorphism:
-        pid = base.simplex_id(parent)
-        child_word = words[base.simplex_id(simplex_face(parent, j))]
-        return morphism_from_shift(words[pid], child_word, j, shifts[(pid, j)])
-
-    for j1 in range(j2):
-        through_b = compose_word_morphisms(
-            morphism(simplex, j2), morphism(simplex_face(simplex, j2), j1)
-        )
-        through_a = compose_word_morphisms(
-            morphism(simplex, j1), morphism(simplex_face(simplex, j1), j2 - 1)
-        )
-        if through_a != through_b:
-            return False
-    return True
 
 
 def enumerate_decorations(
@@ -400,6 +384,11 @@ def enumerate_decorations(
             slots.extend((i, j) for j in range(len(s)))
     shifts: Dict[Tuple[int, int], int] = {}
 
+    def morphism(parent: Simplex, j: int) -> WordMorphism:
+        pid = base.simplex_id(parent)
+        child_word = words[base.simplex_id(simplex_face(parent, j))]
+        return morphism_from_shift(words[pid], child_word, j, shifts[(pid, j)])
+
     def assign_shifts(pos: int) -> Iterator[Decoration]:
         if pos == len(slots):
             yield Decoration(
@@ -420,8 +409,9 @@ def enumerate_decorations(
         for t in options:
             tally.spend()
             shifts[(i, j)] = t
-            if len(simplex) >= 3 and not _functoriality_ok(
-                words, shifts, base, i, j
+            # the face pairs that this assignment makes decidable
+            if len(simplex) >= 3 and not all(
+                _face_pair_commutes(morphism, simplex, j1, j) for j1 in range(j)
             ):
                 continue
             yield from assign_shifts(pos + 1)

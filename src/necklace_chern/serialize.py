@@ -152,34 +152,35 @@ def decoration_from_data(data: dict) -> Decoration:
         raise InvalidInputError(
             "decoration file needs \"words\" and \"shifts\" objects"
         )
+    # the only accepted keys, exactly as decoration_to_data writes them
+    word_ids = {str(i): i for i in range(len(base.simplices))}
+    shift_slots = {
+        f"{i}/{j}": (i, j)
+        for i, s in enumerate(base.simplices)
+        if len(s) > 1
+        for j in range(len(s))
+    }
     words: Dict[int, Word] = {}
     for key, letters in raw_words.items():
-        try:
-            i = int(key)
-        except (TypeError, ValueError):
+        i = word_ids.get(key)
+        if i is None:
             raise InvalidInputError(f"word key {key!r} is not a simplex id")
-        if not 0 <= i < len(base.simplices):
-            raise InvalidInputError(f"word key {key} is not a simplex id")
         words[i] = Word(
             tuple(_int_list(letters, f"word for simplex {i}")),
             len(base.simplices[i]),
         )
     shifts: Dict[tuple, int] = {}
     for key, t in raw_shifts.items():
-        parts = str(key).split("/")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except (IndexError, ValueError):
+        slot = shift_slots.get(key)
+        if slot is None:
             raise InvalidInputError(
-                f"shift key {key!r} is not of the form \"<id>/<face>\""
+                f"shift key {key!r} is not \"<id>/<face>\" for a face of "
+                "a simplex of the base"
             )
         if isinstance(t, bool) or not isinstance(t, int):
             raise InvalidInputError(f"shift {key!r} must be an integer")
-        shifts[(i, j)] = t
-    try:
-        return Decoration.from_maps(base, words, shifts)
-    except KeyError as missing:
-        raise InvalidInputError(f"decoration file is missing entry {missing}")
+        shifts[slot] = t
+    return Decoration.from_maps(base, words, shifts)
 
 
 def save_json(data: dict, path: Union[str, Path]) -> None:

@@ -2,6 +2,7 @@
 cycles, Chern numbers, and the realizable-range search."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -312,3 +313,11 @@ class TestAchievableRange:
         got = achievable_chern_numbers(seven_vertex_torus(), 3)
         assert 0 in got
         assert all(abs(c) <= 7 for c in got)
+
+    def test_budget_charged_from_the_first_fiber_lengths(self):
+        # fiber-length vectors are generated lazily, so a tiny budget runs
+        # out on the first vector instead of after listing all of them
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError):
+            achievable_chern_numbers(seven_vertex_torus(), 12, budget=10)
+        assert time.perf_counter() - start < 1.0

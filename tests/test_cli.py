@@ -3,19 +3,26 @@ exit codes, and determinism."""
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from necklace_chern.bundles import product_bundle
+import necklace_chern
+from necklace_chern.bundles import extract_decoration, product_bundle
 from necklace_chern.chern import fundamental_cycle
 from necklace_chern.cli import main
 from necklace_chern.complexes import LocallyOrderedComplex
 from necklace_chern.serialize import (
+    decoration_to_data,
     packaged_data,
     save_bundle,
     save_complex,
     save_json,
+    trivial_bundle,
 )
+
+DATA = Path(necklace_chern.__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def tetra_boundary():
@@ -133,17 +140,11 @@ class TestVerify:
         _, second = run(capsys, *args)
         assert first == second
 
-    def test_threads_flag_does_not_change_output(self, capsys):
-        base = ("verify", "identities", "--max-k", "3", "--no-timing")
-        _, plain = run(capsys, *base)
-        _, threaded = run(capsys, *base, "--threads", "4")
-        assert plain == threaded
-
-    def test_bad_threads(self, capsys):
-        code, out = run(
-            capsys, "parity", "0", "1", "2", "--threads", "0", "--no-timing"
-        )
-        assert code == 2
+    def test_threads_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "identities", "--max-k", "3", "--threads", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
 
 class TestExtractAndChern:
@@ -281,6 +282,21 @@ class TestExtractAndChern:
         assert code == 0
         assert "c1 =" not in out
 
+    def test_unknown_shift_key_is_input_error(self, tmp_path):
+        data = decoration_to_data(extract_decoration(trivial_bundle()))
+        data["shifts"]["99/0"] = 0
+        path = tmp_path / "dec.json"
+        save_json(data, path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "necklace_chern.cli", "chern",
+             "--decoration", str(path), "--no-timing"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("input error: shift key '99/0'")
+        assert "Traceback" not in proc.stderr
+
 
 class TestRange:
     def test_tetra_boundary(self, capsys, base_path):
@@ -310,6 +326,28 @@ class TestRange:
         assert code == 3
         assert out.startswith("resource bound exceeded:")
 
+    def test_budget_env_var_at_long_words(self, capsys, tmp_path, monkeypatch):
+        # the seven-vertex torus has tens of thousands of fiber-length
+        # vectors at this length; the bound must hit on the first
+        tris = []
+        for i in range(7):
+            tris.append(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
+            tris.append(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
+        path = tmp_path / "torus.json"
+        save_complex(LocallyOrderedComplex.from_maximal(7, tris), path)
+        monkeypatch.setenv("NECKLACE_MAX_CANDIDATES", "10")
+        code, out = run(
+            capsys,
+            "range",
+            "--base",
+            str(path),
+            "--max-len",
+            "14",
+            "--no-timing",
+        )
+        assert code == 3
+        assert out.startswith("resource bound exceeded:")
+
     def test_open_surface_is_input_error(self, capsys, tmp_path):
         disk = LocallyOrderedComplex.from_maximal(3, [(0, 1, 2)])
         path = tmp_path / "disk.json"
@@ -325,6 +363,37 @@ class TestRange:
         )
         assert code == 2
         assert out.startswith("input error:")
+
+
+class TestGoldenCorpus:
+    """--no-timing reports on the packaged corpus, byte for byte as the
+    files under tests/golden record them."""
+
+    @pytest.mark.parametrize("name", ["hopf", "trivial"])
+    def test_extract_then_chern(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        dec = f"{name}_decoration.json"
+        bundle = DATA / f"{name}_bundle.json"
+        code, out = run(
+            capsys, "extract", "--bundle", str(bundle), "--out", dec, "--no-timing"
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{name}_extract.txt").read_bytes()
+        assert (tmp_path / dec).read_bytes() == (GOLDEN / dec).read_bytes()
+        for h in ("1", "0"):
+            code, out = run(
+                capsys, "chern", "--decoration", dec, "--h", h, "--no-timing"
+            )
+            assert code == 0
+            assert out.encode() == (GOLDEN / f"{name}_chern_h{h}.txt").read_bytes()
+
+    def test_range(self, capsys):
+        base = DATA / "boundary_tetrahedron.json"
+        code, out = run(
+            capsys, "range", "--base", str(base), "--max-len", "4", "--no-timing"
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / "tetrahedron_range_4.txt").read_bytes()
 
 
 def test_console_script_runs():

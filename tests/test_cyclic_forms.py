@@ -21,7 +21,6 @@ from necklace_chern.cyclic_forms import (
     pullback_face,
     reduced_dl,
     reduced_l,
-    wedge,
     wedge_power,
 )
 from necklace_chern.errors import DimensionMismatchError, InvalidInputError
@@ -358,8 +357,8 @@ def test_pullback_is_ring_map():
         a = random_stochastic_map(rng, rows, cols)
         f = random_form(rng, rows - 1, 1, with_dx=True)
         g = random_form(rng, rows - 1, 1)
-        assert pullback_affine(f.wedge(g), a) == wedge(
-            pullback_affine(f, a), pullback_affine(g, a)
+        assert pullback_affine(f.wedge(g), a) == pullback_affine(f, a).wedge(
+            pullback_affine(g, a)
         )
 
 

@@ -129,6 +129,34 @@ class TestValidation:
         assert not report.ok
         assert any(i.code == "bad-shift-shape" for i in report.issues)
 
+    def test_functoriality_mismatch_with_compatible_shifts(self):
+        # Every stored shift turns the parent's boundary into the face word,
+        # yet the two paths from the triangle down to vertex 1 (faces 0 and
+        # 2) rotate its two-point fiber differently.
+        base = triangle_complex()
+        words = {
+            0: word((0,)),
+            1: word((0, 0)),
+            2: word((0,)),
+            3: word((0, 1, 1)),
+            4: word((0, 1)),
+            5: word((0, 0, 1)),
+            6: word((0, 1, 1, 2)),
+        }
+        shifts = {
+            (i, j): 0 for i in range(3, 7) for j in range(len(base.simplices[i]))
+        }
+        shifts[(5, 1)] = 2
+        d = Decoration.from_maps(base, words, shifts)
+        report = validate_decoration(d)
+        assert [(i.code, i.detail, i.simplex) for i in report.issues] == [
+            (
+                "functoriality-mismatch",
+                "faces 0 and 2 compose differently",
+                (0, 1, 2),
+            )
+        ]
+
 
 class TestFaceMorphism:
     def test_zero_shift_increasing_word(self):

@@ -124,6 +124,33 @@ class TestSchemaValidation:
         with pytest.raises(InvalidInputError):
             decoration_from_data(data)
 
+    # tetrahedron boundary ids: vertices 0-3, edges 4-9, triangles 10-13
+    @pytest.mark.parametrize(
+        "field, key",
+        [
+            ("shifts", "99/0"),  # no such simplex
+            ("shifts", "0/5"),  # vertices have no faces
+            ("shifts", "0/0"),
+            ("shifts", "4/2"),  # an edge has faces 0 and 1
+            ("shifts", "10/3"),  # a triangle has faces 0, 1 and 2
+            ("shifts", "4/0/7"),  # trailing part
+            ("shifts", "04/0"),  # not the canonical spelling
+            ("shifts", "4/ 0"),
+            ("shifts", "-1/0"),
+            ("words", "14"),  # no such simplex
+            ("words", "-1"),
+            ("words", "04"),
+            ("words", "4.0"),
+            ("words", 4),  # not a string
+        ],
+    )
+    def test_decoration_unknown_key_rejected(self, field, key):
+        d = extract_decoration(product_bundle(tetra_boundary(), 3))
+        data = decoration_to_data(d)
+        data[field][key] = 0 if field == "shifts" else [0, 1]
+        with pytest.raises(InvalidInputError, match="key"):
+            decoration_from_data(data)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
