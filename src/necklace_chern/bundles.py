@@ -12,7 +12,7 @@ word. Extraction turns the whole bundle into a decoration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
@@ -87,6 +87,22 @@ class BundleMap:
     def fiber_length(self, base_vertex: int) -> int:
         return len(self.fiber_orientation[base_vertex])
 
+    @cached_property
+    def _over(self) -> Dict[Simplex, List[Simplex]]:
+        """The total simplices grouped by their image, each group in
+        canonical order: a total simplex lies over the one simplex it maps
+        onto."""
+        groups: Dict[Simplex, List[Simplex]] = {}
+        for A in self.total.simplices:
+            image = tuple(sorted({self.vertex_map[a] for a in A}))
+            groups.setdefault(image, []).append(A)
+        return groups
+
+    @cached_property
+    def _views(self) -> Dict[Simplex, _ViewOrIssues]:
+        """The view over every base simplex, or the issues that bar it."""
+        return {U: _view_over(self, U) for U in self.base.simplices}
+
 
 @dataclass(frozen=True)
 class ElementaryBundleView:
@@ -125,61 +141,36 @@ class SectionChoice:
 
 def _fiber_issues(b: BundleMap) -> List[ValidationIssue]:
     issues: List[ValidationIssue] = []
-    edge_set = {s for s in b.total.simplices if len(s) == 2}
-    for v in range(b.base.vertex_count):
-        fiber = sorted(
-            t for t in range(b.total.vertex_count) if b.vertex_map[t] == v
-        )
-        cycle = b.fiber_orientation[v]
-        here = (v,)
-        if sorted(cycle) != fiber:
-            issues.append(
-                ValidationIssue(
-                    "fiber-not-cycle",
-                    f"orientation cycle {cycle} does not list the fiber "
-                    f"vertices {tuple(fiber)} exactly once",
-                    here,
-                )
-            )
-            continue
+    for v, cycle in enumerate(b.fiber_orientation):
+        over = b._over.get((v,), [])
+        fiber = tuple(A[0] for A in over if len(A) == 1)
         m = len(cycle)
-        if m < 3:
-            issues.append(
-                ValidationIssue(
-                    "fiber-not-cycle",
-                    f"fiber over vertex {v} has {m} vertices; a simplicial "
-                    "circle needs at least 3",
-                    here,
-                )
+        problems: List[str] = []
+        if tuple(sorted(cycle)) != fiber:
+            problems.append(
+                f"orientation cycle {cycle} does not list the fiber "
+                f"vertices {fiber} exactly once"
             )
-            continue
-        cycle_edges = {
-            tuple(sorted((cycle[i], cycle[(i + 1) % m]))) for i in range(m)
-        }
-        missing = [e for e in cycle_edges if e not in edge_set]
-        if missing:
-            issues.append(
-                ValidationIssue(
-                    "fiber-not-cycle",
+        elif m < 3:
+            problems.append(
+                f"fiber over vertex {v} has {m} vertices; a simplicial "
+                "circle needs at least 3"
+            )
+        else:
+            edges = [A for A in over if len(A) == 2]
+            arcs = {tuple(sorted((cycle[i], cycle[(i + 1) % m]))) for i in range(m)}
+            missing = sorted(arcs.difference(edges))
+            chords = [e for e in edges if e not in arcs]
+            if missing:
+                problems.append(
                     f"arc {missing[0]} of the fiber over vertex {v} is not "
-                    "an edge of the total complex",
-                    here,
+                    "an edge of the total complex"
                 )
-            )
-        in_fiber = set(fiber)
-        chords = [
-            e
-            for e in edge_set
-            if e[0] in in_fiber and e[1] in in_fiber and e not in cycle_edges
-        ]
-        if chords:
-            issues.append(
-                ValidationIssue(
-                    "fiber-not-cycle",
-                    f"edge {chords[0]} is a chord of the fiber over vertex {v}",
-                    here,
+            if chords:
+                problems.append(
+                    f"edge {chords[0]} is a chord of the fiber over vertex {v}"
                 )
-            )
+        issues.extend(ValidationIssue("fiber-not-cycle", p, (v,)) for p in problems)
     return issues
 
 
@@ -197,21 +188,21 @@ def _arc_direction(
     return None
 
 
-@lru_cache(maxsize=None)
-def _view_over(
-    b: BundleMap, U: Simplex
-) -> Tuple[Optional[ElementaryBundleView], Tuple[ValidationIssue, ...]]:
+_ViewOrIssues = Tuple[Optional[ElementaryBundleView], Tuple[ValidationIssue, ...]]
+
+
+def _barred(code: str, detail: str, where: Simplex) -> _ViewOrIssues:
+    return None, (ValidationIssue(code, detail, where),)
+
+
+def _view_over(b: BundleMap, U: Simplex) -> _ViewOrIssues:
     issues: List[ValidationIssue] = []
     k1 = len(U)
-    base_set = set(U)
     local = {v: j for j, v in enumerate(U)}
     zero: List[Simplex] = []
     # arcs as (simplex, local letter, tail element, head element)
     arcs: List[Tuple[Simplex, int, int, int]] = []
-    for A in b.total.simplices:
-        image = {b.vertex_map[a] for a in A}
-        if image != base_set:
-            continue
+    for A in b._over.get(U, ()):
         if len(A) == k1:
             zero.append(A)
         elif len(A) == k1 + 1:
@@ -244,19 +235,13 @@ def _view_over(
     if issues:
         return None, tuple(issues)
     if len(zero) != len(arcs):
-        issues.append(
-            ValidationIssue(
-                "count-mismatch",
-                f"{len(zero)} zero-sections but {len(arcs)} one-sections",
-                U,
-            )
+        return _barred(
+            "count-mismatch",
+            f"{len(zero)} zero-sections but {len(arcs)} one-sections",
+            U,
         )
-        return None, tuple(issues)
     if not zero:
-        issues.append(
-            ValidationIssue("count-mismatch", "no sections at all", U)
-        )
-        return None, tuple(issues)
+        return _barred("count-mismatch", "no sections at all", U)
 
     zero_set = set(zero)
     arc_info: Dict[Simplex, Tuple[int, int, int]] = {}
@@ -284,24 +269,17 @@ def _view_over(
         degree[head_facet] += 1
         out_deg[tail_facet] += 1
     if any(d != 2 for d in degree.values()):
-        issues.append(
-            ValidationIssue(
-                "not-single-cycle",
-                "some zero-section does not meet exactly two one-sections",
-                U,
-            )
+        return _barred(
+            "not-single-cycle",
+            "some zero-section does not meet exactly two one-sections",
+            U,
         )
-        return None, tuple(issues)
     if any(d != 1 for d in out_deg.values()):
-        issues.append(
-            ValidationIssue(
-                "inconsistent-orientation",
-                "arc directions clash: some zero-section is the tail of "
-                "two arcs",
-                U,
-            )
+        return _barred(
+            "inconsistent-orientation",
+            "arc directions clash: some zero-section is the tail of two arcs",
+            U,
         )
-        return None, tuple(issues)
     succ = {facets[A][0]: (A, facets[A][1]) for A in facets}
 
     anchor = min(zero)
@@ -318,14 +296,9 @@ def _view_over(
             break
         order_zero.append(current)
     if len(order_one) != len(arcs) or current != anchor:
-        issues.append(
-            ValidationIssue(
-                "not-single-cycle",
-                "the sections split into more than one cycle",
-                U,
-            )
+        return _barred(
+            "not-single-cycle", "the sections split into more than one cycle", U
         )
-        return None, tuple(issues)
 
     # weakly monotone coverage: walking once around the section cycle must
     # walk once around every fiber, advancing at exactly the collapsing arcs
@@ -337,28 +310,22 @@ def _view_over(
     for A in order_one:
         letter, tail_el, head_el = arc_info[A]
         if restriction[letter] != tail_el:
-            issues.append(
-                ValidationIssue(
-                    "bad-coverage",
-                    "the section cycle does not traverse the fiber "
-                    f"over local vertex {letter} monotonically",
-                    U,
-                )
+            return _barred(
+                "bad-coverage",
+                "the section cycle does not traverse the fiber "
+                f"over local vertex {letter} monotonically",
+                U,
             )
-            return None, tuple(issues)
         restriction[letter] = head_el
     for j, v in enumerate(U):
         if letters.count(j) != b.fiber_length(v):
-            issues.append(
-                ValidationIssue(
-                    "bad-coverage",
-                    f"fiber over local vertex {j} is traversed "
-                    f"{letters.count(j)} times, expected once around "
-                    f"{b.fiber_length(v)} arcs",
-                    U,
-                )
+            return _barred(
+                "bad-coverage",
+                f"fiber over local vertex {j} is traversed "
+                f"{letters.count(j)} times, expected once around "
+                f"{b.fiber_length(v)} arcs",
+                U,
             )
-            return None, tuple(issues)
 
     view = ElementaryBundleView(
         base_simplex=U,
@@ -372,22 +339,22 @@ def _view_over(
 def validate_bundle(b: BundleMap) -> ValidationReport:
     """Check every bundle invariant; an empty report means every elementary
     view is a single consistently directed section cycle."""
-    issues: List[ValidationIssue] = []
-    for A in b.total.simplices:
-        image = tuple(sorted({b.vertex_map[a] for a in A}))
-        if not b.base.has_simplex(image):
-            issues.append(
-                ValidationIssue(
-                    "not-onto-simplex",
-                    f"image {image} is not a simplex of the base",
-                    A,
-                )
-            )
+    issues = [
+        ValidationIssue(
+            "not-onto-simplex",
+            f"image {image} is not a simplex of the base",
+            A,
+        )
+        for image, group in b._over.items()
+        if not b.base.has_simplex(image)
+        for A in group
+    ]
+    # in the canonical order of the total simplices
+    issues.sort(key=lambda issue: (len(issue.simplex), issue.simplex))
     issues.extend(_fiber_issues(b))
     if issues:
         return ValidationReport(tuple(issues))
-    for U in b.base.simplices:
-        _, view_issues = _view_over(b, U)
+    for _, view_issues in b._views.values():
         issues.extend(view_issues)
     return ValidationReport(tuple(issues))
 
@@ -405,7 +372,7 @@ def elementary_view(b: BundleMap, U: Sequence[int]) -> ElementaryBundleView:
     U = tuple(U)
     if not b.base.has_simplex(U):
         raise InvalidInputError(f"{U} is not a simplex of the base")
-    view, issues = _view_over(b, U)
+    view, issues = b._views[U]
     if view is not None:
         return view
     if any(i.code == "inconsistent-orientation" for i in issues):
@@ -415,18 +382,21 @@ def elementary_view(b: BundleMap, U: Sequence[int]) -> ElementaryBundleView:
     raise InvalidInputError("; ".join(str(i) for i in issues))
 
 
+def _section_position(view: ElementaryBundleView, s0: Sequence[int]) -> int:
+    try:
+        return view.zero_sections.index(tuple(s0))
+    except ValueError:
+        raise SectionNotFoundError(
+            f"{tuple(s0)} is not a zero-section over {view.base_simplex}"
+        )
+
+
 def extract_word(b: BundleMap, U: Sequence[int], s0: Sequence[int]) -> Word:
     """The cyclic word over U read from the designated zero-section: the
     q-th letter is the local base vertex whose fiber the q-th arc collapses,
     arcs numbered from s0 by their tails."""
     view = elementary_view(b, U)
-    s0 = tuple(s0)
-    try:
-        p = view.zero_sections.index(s0)
-    except ValueError:
-        raise SectionNotFoundError(
-            f"{s0} is not a zero-section over {tuple(U)}"
-        )
+    p = _section_position(view, s0)
     m = len(view.letters)
     letters = tuple(view.letters[(p + i) % m] for i in range(m))
     return Word(letters, len(tuple(U)))
@@ -439,21 +409,16 @@ def section_shift(
     from s0_new: extract_word(b, U, s0_new) equals
     cyclic_shift(extract_word(b, U, s0), section_shift(b, U, s0, s0_new))."""
     view = elementary_view(b, U)
-    try:
-        p = view.zero_sections.index(tuple(s0))
-        p_new = view.zero_sections.index(tuple(s0_new))
-    except ValueError:
-        raise SectionNotFoundError("both arguments must be zero-sections")
+    p = _section_position(view, s0)
+    p_new = _section_position(view, s0_new)
     return (p - p_new) % len(view.zero_sections)
 
 
 def default_section_choice(b: BundleMap) -> SectionChoice:
     """Designate the cycle anchor (the least zero-section) everywhere."""
-    sections = []
-    for U in b.base.simplices:
-        view = elementary_view(b, U)
-        sections.append(view.zero_sections[0])
-    return SectionChoice(tuple(sections))
+    return SectionChoice(
+        tuple(elementary_view(b, U).zero_sections[0] for U in b.base.simplices)
+    )
 
 
 def extract_decoration(
@@ -479,19 +444,14 @@ def extract_decoration(
     words: Dict[int, Word] = {}
     shifts: Dict[Tuple[int, int], int] = {}
     for i, V in enumerate(b.base.simplices):
+        # extract_word rejects a designated section that is not a zero-section
+        # over V; faces precede V in canonical order, so theirs are checked
+        # before V's shifts need them
         words[i] = extract_word(b, V, choice.sections[i])
-    for i, V in enumerate(b.base.simplices):
         if len(V) == 1:
             continue
         view = elementary_view(b, V)
-        designated = choice.sections[i]
-        try:
-            p = view.zero_sections.index(designated)
-        except ValueError:
-            raise SectionNotFoundError(
-                f"designated section {designated} is not a zero-section "
-                f"over {V}"
-            )
+        p = _section_position(view, choice.sections[i])
         m = len(view.zero_sections)
         for j in range(len(V)):
             dropped = V[j]

@@ -22,9 +22,9 @@ from .decorations import (
     _face_pair_commutes,
     _face_pair_slots,
     _multiplicity_vectors,
+    _shift_morphisms,
     _valid_shifts,
     candidate_budget,
-    morphism_from_shift,
     validate_decoration,
 )
 from .errors import (
@@ -37,7 +37,6 @@ from .errors import (
 from .words_necklaces import (
     Necklace,
     Word,
-    WordMorphism,
     boundary_word,
     canonical_necklace,
     delete_index_face,
@@ -78,14 +77,7 @@ class RationalCochain:
         return self.base.simplices_of_dimension(self.degree)
 
     def value_for(self, simplex: Sequence[int]) -> Fraction:
-        simplex = tuple(simplex)
-        try:
-            pos = self.simplices.index(simplex)
-        except ValueError:
-            raise InvalidInputError(
-                f"{simplex} is not a {self.degree}-simplex of the base"
-            )
-        return self.values[pos]
+        return self.values[self.base.position_in_dimension(simplex, self.degree)]
 
     def items(self) -> Iterator[Tuple[Simplex, Fraction]]:
         return zip(self.simplices, self.values)
@@ -114,8 +106,7 @@ class FundamentalCycle:
         return self.base.simplices_of_dimension(2)
 
     def coefficient_for(self, simplex: Sequence[int]) -> int:
-        simplex = tuple(simplex)
-        return self.coefficients[self.triangles.index(simplex)]
+        return self.coefficients[self.base.position_in_dimension(simplex, 2)]
 
 
 def local_chern(w: Word, h: int) -> Fraction:
@@ -322,18 +313,8 @@ def _solve_shifts(
                 constraints_at.setdefault(fires, []).append((s, j1, j2, pair))
 
     assignment: Dict[Tuple[int, int], int] = {}
-    morphism_cache: Dict[Tuple[int, int, int], WordMorphism] = {}
+    morphism = _shift_morphisms(base, words, assignment)
     holds_cache: Dict[tuple, bool] = {}
-
-    def morphism(parent: Simplex, j: int) -> WordMorphism:
-        i = base.simplex_id(parent)
-        t = assignment[(i, j)]
-        m = morphism_cache.get((i, j, t))
-        if m is None:
-            child = words[base.simplex_id(simplex_face(parent, j))]
-            m = morphism_from_shift(words[i], child, j, t)
-            morphism_cache[(i, j, t)] = m
-        return m
 
     def holds(s: Simplex, j1: int, j2: int, pair: tuple) -> bool:
         key = (s, j1, j2) + tuple(map(assignment.__getitem__, pair))

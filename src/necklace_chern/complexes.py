@@ -109,12 +109,28 @@ class LocallyOrderedComplex:
     def _index(self) -> Dict[Simplex, int]:
         return {s: i for i, s in enumerate(self.simplices)}
 
+    @cached_property
+    def _by_dimension(self) -> Tuple[Tuple[Simplex, ...], ...]:
+        """The canonical order cut once into its runs of equal dimension;
+        closure under faces leaves no dimension empty below the top."""
+        runs: List[List[Simplex]] = [[] for _ in range(self.dimension + 1)]
+        for s in self.simplices:
+            runs[len(s) - 1].append(s)
+        return tuple(tuple(run) for run in runs)
+
     @property
     def dimension(self) -> int:
         return len(self.simplices[-1]) - 1
 
     def simplices_of_dimension(self, d: int) -> Tuple[Simplex, ...]:
-        return tuple(s for s in self.simplices if len(s) == d + 1)
+        return self._by_dimension[d] if 0 <= d <= self.dimension else ()
+
+    def position_in_dimension(self, s: Sequence[int], d: int) -> int:
+        """The index of s in simplices_of_dimension(d)."""
+        s = tuple(s)
+        if len(s) != d + 1 or s not in self._index:
+            raise InvalidInputError(f"{s} is not a {d}-simplex of the complex")
+        return self._index[s] - self._index[self._by_dimension[d][0]]
 
     def maximal_simplices(self) -> Tuple[Simplex, ...]:
         """The simplices that are a facet of no other simplex, in canonical

@@ -13,7 +13,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+)
 
 from .complexes import (
     LocallyOrderedComplex,
@@ -163,6 +165,28 @@ def face_morphism(d: Decoration, simplex: Sequence[int], j: int) -> WordMorphism
     parent = d.word_for(simplex)
     child = d.word_for(simplex_face(simplex, j))
     return morphism_from_shift(parent, child, j, d.shift_for(simplex, j))
+
+
+def _shift_morphisms(
+    base: LocallyOrderedComplex,
+    words: Union[Sequence[Word], Mapping[int, Word]],
+    shifts: Mapping[Tuple[int, int], int],
+) -> Callable[[Simplex, int], WordMorphism]:
+    """morphism(parent, j) for the current entry of ``shifts``, memoized on
+    (simplex id, j, shift); ``words`` is indexed by simplex id and must stay
+    fixed while the returned function is in use."""
+    memo: Dict[Tuple[int, int, int], WordMorphism] = {}
+
+    def morphism(parent: Simplex, j: int) -> WordMorphism:
+        i = base.simplex_id(parent)
+        key = (i, j, shifts[(i, j)])
+        m = memo.get(key)
+        if m is None:
+            child = words[base.simplex_id(simplex_face(parent, j))]
+            m = memo[key] = morphism_from_shift(words[i], child, j, key[2])
+        return m
+
+    return morphism
 
 
 def _face_pair_slots(
@@ -384,12 +408,7 @@ def enumerate_decorations(
             slots.extend((i, j) for j in range(len(s)))
     shifts: Dict[Tuple[int, int], int] = {}
 
-    def morphism(parent: Simplex, j: int) -> WordMorphism:
-        pid = base.simplex_id(parent)
-        child_word = words[base.simplex_id(simplex_face(parent, j))]
-        return morphism_from_shift(words[pid], child_word, j, shifts[(pid, j)])
-
-    def assign_shifts(pos: int) -> Iterator[Decoration]:
+    def assign_shifts(pos: int, morphism) -> Iterator[Decoration]:
         if pos == len(slots):
             yield Decoration(
                 base,
@@ -414,12 +433,13 @@ def enumerate_decorations(
                 _face_pair_commutes(morphism, simplex, j1, j) for j1 in range(j)
             ):
                 continue
-            yield from assign_shifts(pos + 1)
+            yield from assign_shifts(pos + 1, morphism)
         shifts.pop((i, j), None)
 
     def assign_words(i: int, content_of) -> Iterator[Decoration]:
         if i == count:
-            yield from assign_shifts(0)
+            # the words are fixed for the whole shift search below
+            yield from assign_shifts(0, _shift_morphisms(base, words, shifts))
             return
         simplex = base.simplices[i]
         for w in words_of_content(content_of(simplex)):

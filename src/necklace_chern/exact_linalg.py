@@ -13,16 +13,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     OddSizeError,
+    ResourceBudgetError,
     ZeroColumnSumError,
 )
-from .words_necklaces import Word
+from .words_necklaces import SUBWORD_BUDGET, Word
 
 __all__ = [
     "ExactMatrix",
@@ -309,10 +310,21 @@ def sum_maximal_minors(m: ExactMatrix) -> Fraction:
 
     Rows are kept in increasing order inside each selection; the sum does
     not depend on the enumeration order.
+
+    Raises
+    ------
+    ResourceBudgetError
+        If the C(rows, cols) selections exceed SUBWORD_BUDGET.
     """
     if m.rows < m.cols:
         raise DimensionMismatchError(
             f"need at least as many rows as columns, got {m.rows}x{m.cols}"
+        )
+    count = comb(m.rows, m.cols)
+    if count > SUBWORD_BUDGET:
+        raise ResourceBudgetError(
+            f"{count} maximal minors exceed the enumeration budget "
+            f"{SUBWORD_BUDGET}"
         )
     table, scale = _integer_scaled(m)
     k = m.cols

@@ -108,11 +108,12 @@ def bundle_from_data(data: dict) -> BundleMap:
         raise InvalidInputError(
             "\"fiber_orientation\" must map base vertices to vertex lists"
         )
+    # the only accepted keys, exactly as bundle_to_data writes them
+    vertex_keys = {str(v): v for v in range(base.vertex_count)}
     cycles = {}
     for key, cycle in raw_orient.items():
-        try:
-            v = int(key)
-        except (TypeError, ValueError):
+        v = vertex_keys.get(key)
+        if v is None:
             raise InvalidInputError(
                 f"fiber_orientation key {key!r} is not a base vertex"
             )

@@ -1,6 +1,8 @@
 """Tests for bundle validation, elementary views, and word extraction."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -220,6 +222,40 @@ class TestInvalidBundles:
         bad = BundleMap(b.total, b.base, b.vertex_map, ((0, 1, 1),))
         report = validate_bundle(bad)
         assert any(i.code == "fiber-not-cycle" for i in report.issues)
+
+    def test_not_onto_issues_in_total_order(self):
+        # fibers over a path 0-1-2-3 plus three edges whose images (0, 2),
+        # (0, 3) and (0, 2) again are not base simplices
+        fibers = [(3 * v, 3 * v + 1, 3 * v + 2) for v in range(4)]
+        arcs = [
+            tuple(sorted((f[i], f[(i + 1) % 3]))) for f in fibers for i in range(3)
+        ]
+        total = LocallyOrderedComplex.from_maximal(
+            12, arcs + [(0, 6), (0, 9), (1, 6)]
+        )
+        base = LocallyOrderedComplex.from_maximal(4, [(0, 1), (1, 2), (2, 3)])
+        vertex_map = tuple(t // 3 for t in range(12))
+        bad = BundleMap(total, base, vertex_map, tuple(fibers))
+        report = validate_bundle(bad)
+        assert [(i.code, i.simplex) for i in report.issues] == [
+            ("not-onto-simplex", (0, 6)),
+            ("not-onto-simplex", (0, 9)),
+            ("not-onto-simplex", (1, 6)),
+        ]
+
+
+class TestNoWholeBundleCache:
+    def test_bundle_is_collected_after_use(self):
+        # a fiber length no other test uses: a cache keyed on whole bundles
+        # would keep an equal bundle built earlier instead of this one
+        b = product_bundle(tetra_boundary(), 7)
+        assert validate_bundle(b).ok
+        d = extract_decoration(b)
+        ref = weakref.ref(b)
+        del b
+        gc.collect()
+        assert ref() is None
+        assert validate_decoration(d).ok
 
 
 class TestExtractionInvariants:

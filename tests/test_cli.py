@@ -77,6 +77,19 @@ class TestParity:
         assert code == 2
         assert out.startswith("input error:")
 
+    def test_minor_sum_budget_exits_three(self):
+        # C(33, 11) ~ 1.9e8 maximal minors; the 3**11 subwords fit the budget
+        letters = [str(i % 11) for i in range(33)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "necklace_chern.cli", "parity", *letters],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 3
+        assert "193536720 maximal minors exceed" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
     def test_timing_line_present_by_default(self, capsys):
         code, out = run(capsys, "parity", "0", "1", "2")
         assert code == 0
@@ -296,6 +309,26 @@ class TestExtractAndChern:
         assert proc.returncode == 2
         assert proc.stdout.startswith("input error: shift key '99/0'")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key", ["01", " 2"])
+    def test_noncanonical_fiber_key_is_input_error(self, tmp_path, key):
+        data = packaged_data("trivial_bundle.json")
+        data["fiber_orientation"][key] = data["fiber_orientation"]["0"]
+        path = tmp_path / "bundle.json"
+        save_json(data, path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "necklace_chern.cli", "extract",
+             "--bundle", str(path), "--out", str(tmp_path / "dec.json"),
+             "--no-timing"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout.startswith(
+            f"input error: fiber_orientation key {key!r}"
+        )
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "dec.json").exists()
 
 
 class TestRange:

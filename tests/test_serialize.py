@@ -103,6 +103,14 @@ class TestSchemaValidation:
         with pytest.raises(InvalidInputError):
             bundle_from_data(data)
 
+    # other spellings of a base vertex than str(v), and vertices it lacks
+    @pytest.mark.parametrize("key", ["01", " 2", "2 ", "+1", "1_0", "4", "-1", 1])
+    def test_bundle_orientation_key_must_be_canonical(self, key):
+        data = packaged_data("trivial_bundle.json")
+        data["fiber_orientation"][key] = data["fiber_orientation"]["1"]
+        with pytest.raises(InvalidInputError, match="key"):
+            bundle_from_data(data)
+
     def test_decoration_bad_shift_key(self):
         d = extract_decoration(product_bundle(tetra_boundary(), 3))
         data = decoration_to_data(d)
