@@ -99,6 +99,18 @@ class BundleMap:
         return groups
 
     @cached_property
+    def _arcs(self) -> Dict[Tuple[int, int, int], Tuple[int, int]]:
+        """Every fiber arc as (tail, head) along its fiber cycle, keyed by
+        its base vertex and its two ends in increasing order."""
+        arcs: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+        for v, cycle in enumerate(self.fiber_orientation):
+            m = len(cycle)
+            for i in range(m):
+                tail, head = cycle[i], cycle[(i + 1) % m]
+                arcs.setdefault((v, min(tail, head), max(tail, head)), (tail, head))
+        return arcs
+
+    @cached_property
     def _views(self) -> Dict[Simplex, _ViewOrIssues]:
         """The view over every base simplex, or the issues that bar it."""
         return {U: _view_over(self, U) for U in self.base.simplices}
@@ -134,9 +146,6 @@ class SectionChoice:
     """One designated zero-section per base simplex, indexed by simplex id."""
 
     sections: Tuple[Simplex, ...]
-
-    def section_for(self, base: LocallyOrderedComplex, U: Sequence[int]) -> Simplex:
-        return self.sections[base.simplex_id(U)]
 
 
 def _fiber_issues(b: BundleMap) -> List[ValidationIssue]:
@@ -174,20 +183,6 @@ def _fiber_issues(b: BundleMap) -> List[ValidationIssue]:
     return issues
 
 
-def _arc_direction(
-    b: BundleMap, base_vertex: int, pair: Tuple[int, int]
-) -> Optional[Tuple[int, int]]:
-    """Orient a collapsed fiber pair along the fiber cycle, or None if the
-    pair is not an arc."""
-    cycle = b.fiber_orientation[base_vertex]
-    m = len(cycle)
-    for i in range(m):
-        tail, head = cycle[i], cycle[(i + 1) % m]
-        if {tail, head} == set(pair):
-            return (tail, head)
-    return None
-
-
 _ViewOrIssues = Tuple[Optional[ElementaryBundleView], Tuple[ValidationIssue, ...]]
 
 
@@ -211,7 +206,7 @@ def _view_over(b: BundleMap, U: Simplex) -> _ViewOrIssues:
                 per_vertex[b.vertex_map[a]].append(a)
             doubled = [v for v in U if len(per_vertex[v]) == 2]
             w = doubled[0]
-            oriented = _arc_direction(b, w, tuple(per_vertex[w]))
+            oriented = b._arcs.get((w, min(per_vertex[w]), max(per_vertex[w])))
             if oriented is None:
                 issues.append(
                     ValidationIssue(

@@ -152,11 +152,6 @@ class LocallyOrderedComplex:
         except KeyError:
             raise InvalidInputError(f"{tuple(s)} is not a simplex of the complex")
 
-    def simplex_by_id(self, i: int) -> Simplex:
-        if not 0 <= i < len(self.simplices):
-            raise InvalidInputError(f"simplex id {i} out of range")
-        return self.simplices[i]
-
 
 @dataclass(frozen=True)
 class ValidationIssue:

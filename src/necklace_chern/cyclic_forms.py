@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .exact_linalg import ExactMatrix
+from .exact_linalg import ExactMatrix, _as_fraction
 from .words_necklaces import FaceOperator
 
 __all__ = [
@@ -44,16 +44,6 @@ __all__ = [
 DX = -1
 
 Monomial = Tuple[int, ...]
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise InvalidInputError(f"cannot interpret {value!r} as an exact rational")
 
 
 @dataclass(frozen=True)

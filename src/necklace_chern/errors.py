@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types and the enumeration bound shared across the library.
 
 Every failure mode promised by the public API has a dedicated class so that
 callers can catch precisely what they care about and the command line layer
@@ -24,6 +24,11 @@ __all__ = [
     "NotClosedError",
     "NonIntegralError",
 ]
+
+# Cap on the number of terms a single enumeration may visit: proper subwords
+# of one word, or maximal minors of one matrix.  Above the cap a
+# ResourceBudgetError is raised instead of silently grinding.
+SUBWORD_BUDGET = 10**6
 
 
 class NecklaceChernError(Exception):

@@ -1,11 +1,13 @@
 """Exact rational matrices: minors, maximal-minor sums, Pfaffians, parity.
 
-All arithmetic is over `fractions.Fraction`; there is no floating point
-anywhere.  The module houses the two matrix routes to the rational parity
-of a word: the sum of maximal minors of the column-normalized word matrix,
-and the Pfaffian of the skew matrix of column-pair minor sums.  The two
-routes stay independent so tests can compare them against each other and
-against the subword oracle.
+All arithmetic is over `fractions.Fraction` and `int`, never floating
+point.  Determinants (`_det_int`, Bareiss) and Pfaffians (`_pfaffian_int`,
+skew elimination with exact division) run on integer matrices.
+`_pfaffian_int` is the one Pfaffian kernel: `pfaffian` scales a rational
+skew matrix to integers for it, and `words_necklaces.necklace_parity`, the
+production parity engine, feeds it a word's integer Okada matrix.  The
+rational routes, maximal-minor sums of the word matrix and the Pfaffian
+of its Okada matrix, are oracles for that engine and for each other.
 """
 
 from __future__ import annotations
@@ -13,17 +15,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import comb, lcm, prod
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
+    SUBWORD_BUDGET,
     DimensionMismatchError,
     InvalidInputError,
     OddSizeError,
     ResourceBudgetError,
     ZeroColumnSumError,
 )
-from .words_necklaces import SUBWORD_BUDGET, Word
+
+if TYPE_CHECKING:
+    from .words_necklaces import Word
 
 __all__ = [
     "ExactMatrix",
@@ -46,11 +51,7 @@ _EntryLike = object  # ints, Fractions and "p/q" strings are accepted
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise InvalidInputError("matrix entries must be rational numbers")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise InvalidInputError(f"cannot interpret {value!r} as an exact rational")
 
@@ -256,27 +257,55 @@ def _det_int(rows: List[List[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _pfaffian_int(rows: List[List[int]]) -> int:
+    """Pfaffian of an even-size integer skew matrix; ``rows`` is overwritten.
+
+    Skew elimination in the pivot pairs (0, 1), (2, 3), ... (Parlett-Reid)
+    with Bareiss-style exact division: after eliminating the pairs of an
+    index set S, entry (i, j) holds Pf of the principal submatrix on S, i,
+    j, and the Pfaffian analogue of Sylvester's identity gives the next
+    step with an exact division by the previous pivot.  A zero pivot is
+    replaced by swapping a later index into its place, which negates the
+    Pfaffian; a zero pivot row means the Pfaffian vanishes.
+    """
+    n = len(rows)
+    sign = 1
+    prev = 1
+    for k in range(0, n, 2):
+        a = rows[k]
+        if a[k + 1] == 0:
+            swap = next((j for j in range(k + 2, n) if a[j] != 0), None)
+            if swap is None:
+                return 0
+            rows[k + 1], rows[swap] = rows[swap], rows[k + 1]
+            for r in rows:
+                r[k + 1], r[swap] = r[swap], r[k + 1]
+            sign = -sign
+        b = rows[k + 1]
+        pivot = a[k + 1]
+        for i in range(k + 2, n):
+            r = rows[i]
+            a_i, b_i = a[i], b[i]
+            for j in range(i + 1, n):
+                v = (pivot * r[j] - a_i * b[j] + a[j] * b_i) // prev
+                r[j] = v
+                rows[j][i] = -v
+        prev = pivot
+    return sign * prev
+
+
 def _integer_scaled(m: ExactMatrix) -> Tuple[List[List[int]], Fraction]:
     """Scale columns to integers; returns (int matrix, maximal-minor scale).
 
     Every maximal minor of the original equals the integer minor divided by
     the product of the column scaling factors.
     """
-    scales: List[int] = []
-    for j in range(m.cols):
-        denom = 1
-        for i in range(m.rows):
-            d = m.entries[i][j].denominator
-            denom = denom * d // gcd(denom, d)
-        scales.append(denom)
+    scales = [lcm(*(row[j].denominator for row in m.entries)) for j in range(m.cols)]
     table = [
-        [int(m.entries[i][j] * scales[j]) for j in range(m.cols)]
-        for i in range(m.rows)
+        [x.numerator * (d // x.denominator) for x, d in zip(row, scales)]
+        for row in m.entries
     ]
-    factor = 1
-    for s in scales:
-        factor *= s
-    return table, Fraction(1, factor)
+    return table, Fraction(1, prod(scales))
 
 
 def determinant(m: ExactMatrix) -> Fraction:
@@ -355,12 +384,11 @@ def column_subset_minor_sum(m: ExactMatrix, columns: Sequence[int]) -> Fraction:
 
 
 def pfaffian(s: SkewMatrix) -> Fraction:
-    """Pfaffian by the recursive expansion along the first row.
+    """Pfaffian by fraction-free skew elimination.
 
-    Pf of the empty matrix is 1; Pf(M)^2 equals det(M).  The memoized
-    recursion costs O(2^n) subsets in the worst case (factorial without the
-    memo), which is fine up to size 12 or so; the skew matrices built in
-    this package stay far smaller (size k+1 or k+2 for a k+1 column input).
+    Row and column i are scaled by the least common denominator d_i of row
+    i, and Pf(DSD) = det(D) Pf(S) undoes the scaling; O(n^3) integer
+    operations.  Pf of the empty matrix is 1; Pf(M)^2 equals det(M).
 
     Raises
     ------
@@ -370,27 +398,12 @@ def pfaffian(s: SkewMatrix) -> Fraction:
     n = s.size
     if n % 2 == 1:
         raise OddSizeError(f"Pfaffian of an odd size {n}")
-    memo: Dict[Tuple[int, ...], Fraction] = {}
-
-    def rec(indices: Tuple[int, ...]) -> Fraction:
-        if not indices:
-            return Fraction(1)
-        cached = memo.get(indices)
-        if cached is not None:
-            return cached
-        first = indices[0]
-        total = Fraction(0)
-        for pos in range(1, len(indices)):
-            a = s.entries[first][indices[pos]]
-            if a == 0:
-                continue
-            rest = indices[1:pos] + indices[pos + 1 :]
-            term = a * rec(rest)
-            total += term if pos % 2 == 1 else -term
-        memo[indices] = total
-        return total
-
-    return rec(tuple(range(n)))
+    scales = [lcm(*(x.denominator for x in row)) for row in s.entries]
+    table = [
+        [x.numerator * (d_i // x.denominator) * d_j for x, d_j in zip(row, scales)]
+        for row, d_i in zip(s.entries, scales)
+    ]
+    return Fraction(_pfaffian_int(table), prod(scales))
 
 
 def okada_matrix(x: ExactMatrix) -> SkewMatrix:

@@ -1,6 +1,7 @@
 """JSON input and output for complexes, bundle maps, and decorations.
 
-All three schemas carry a version field "v": 1. Simplex ids used in
+All three schemas carry a version field "v": 1, the integer, and loaders
+reject every key their writer does not write. Simplex ids used in
 decoration files are indices into the canonical simplex list of the base
 complex, which is exactly the order stored in the file.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 from .bundles import BundleMap
 from .complexes import LocallyOrderedComplex
@@ -42,13 +43,19 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _require_version(data: dict, what: str) -> None:
+def _require_fields(data, what: str, keys: Tuple[str, ...], versioned: bool) -> None:
+    """Accept only a JSON object whose keys are among those its writer
+    writes; a versioned object must also carry "v" as the integer 1."""
     if not isinstance(data, dict):
-        raise InvalidInputError(f"{what} file must contain a JSON object")
-    if data.get("v") != SCHEMA_VERSION:
+        raise InvalidInputError(f"{what} must contain a JSON object")
+    # the exact type: True and 1.0 compare equal to 1
+    if versioned and (type(data.get("v")) is not int or data["v"] != SCHEMA_VERSION):
         raise InvalidInputError(
-            f"{what} file must declare schema version \"v\": {SCHEMA_VERSION}"
+            f"{what} must declare schema version \"v\": {SCHEMA_VERSION}"
         )
+    for key in data:
+        if key not in keys and not (versioned and key == "v"):
+            raise InvalidInputError(f"{what} has an unknown key {key!r}")
 
 
 def _int_list(raw, what: str) -> list:
@@ -70,10 +77,8 @@ def complex_to_data(c: LocallyOrderedComplex, versioned: bool = True) -> dict:
 
 
 def complex_from_data(data: dict, versioned: bool = True) -> LocallyOrderedComplex:
-    if versioned:
-        _require_version(data, "complex")
-    elif not isinstance(data, dict):
-        raise InvalidInputError("complex data must be a JSON object")
+    what = "complex file" if versioned else "complex data"
+    _require_fields(data, what, ("vertices", "simplices"), versioned)
     vertices = data.get("vertices")
     if not isinstance(vertices, int) or isinstance(vertices, bool):
         raise InvalidInputError("\"vertices\" must be an integer")
@@ -99,7 +104,8 @@ def bundle_to_data(b: BundleMap) -> dict:
 
 
 def bundle_from_data(data: dict) -> BundleMap:
-    _require_version(data, "bundle")
+    keys = ("total", "base", "vertex_map", "fiber_orientation")
+    _require_fields(data, "bundle file", keys, versioned=True)
     total = complex_from_data(data.get("total"), versioned=False)
     base = complex_from_data(data.get("base"), versioned=False)
     vertex_map = tuple(_int_list(data.get("vertex_map"), "\"vertex_map\""))
@@ -145,7 +151,8 @@ def decoration_to_data(d: Decoration) -> dict:
 
 
 def decoration_from_data(data: dict) -> Decoration:
-    _require_version(data, "decoration")
+    keys = ("base", "words", "shifts")
+    _require_fields(data, "decoration file", keys, versioned=True)
     base = complex_from_data(data.get("base"), versioned=False)
     raw_words = data.get("words")
     raw_shifts = data.get("shifts")

@@ -8,9 +8,12 @@ position order it is a permutation of the alphabet, and the rational parity
 of a word is the expectation of the sign of that permutation over all
 proper subwords.
 
-Everything here is exact: parities are `fractions.Fraction` values and the
-subword enumeration is the independent combinatorial oracle against which
-the matrix-based computations elsewhere in the package are checked.
+Everything here is exact: parities are `fractions.Fraction` values.
+`necklace_parity`, the parity every Chern computation uses, evaluates the
+Okada Pfaffian of the word's integer pair counts through the Pfaffian
+kernel of `exact_linalg`, in time polynomial in the word length.  The
+subword enumeration `rational_parity` is kept, under `SUBWORD_BUDGET`, as
+the independent combinatorial oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -18,15 +21,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import (
+    SUBWORD_BUDGET,
     EvenAlphabetError,
     InvalidInputError,
     MorphismMismatchError,
     ResourceBudgetError,
 )
+from .exact_linalg import _pfaffian_int
 
 __all__ = [
     "Word",
@@ -47,13 +51,6 @@ __all__ = [
     "all_surjective_words",
     "words_of_content",
 ]
-
-# Cap on the number of proper subwords a single parity computation may
-# enumerate.  The count is the product of the letter multiplicities, so it
-# explodes for long repetitive words; above the cap a ResourceBudgetError is
-# raised instead of silently grinding.
-SUBWORD_BUDGET = 10**6
-
 
 # =========================================================================
 # Domain types
@@ -101,11 +98,6 @@ class Word:
     def top_index(self) -> int:
         """n, the largest position index."""
         return len(self.letters) - 1
-
-    @property
-    def top_letter(self) -> int:
-        """k, the largest letter."""
-        return self.alphabet_size - 1
 
     def multiplicities(self) -> Tuple[int, ...]:
         """Occurrence count m_j of each letter j."""
@@ -191,19 +183,6 @@ class FaceOperator:
 
     def image_set(self) -> frozenset:
         return frozenset(self.image)
-
-    def preimage(self, value: int) -> Optional[int]:
-        """The x with image[x] == value, or None."""
-        lo, hi = 0, len(self.image) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if self.image[mid] == value:
-                return mid
-            if self.image[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
 
     def is_identity(self) -> bool:
         return self.domain_size == self.codomain_size
@@ -396,13 +375,14 @@ def rational_parity(w: Word, budget: int = SUBWORD_BUDGET) -> Fraction:
     return Fraction(balance, count)
 
 
-@lru_cache(maxsize=65536)
-def _necklace_parity_cached(letters: Tuple[int, ...], alphabet_size: int) -> Fraction:
-    return rational_parity(Word(letters, alphabet_size))
-
-
 def necklace_parity(n: Necklace) -> Fraction:
     """Rational parity of any representative of the necklace.
+
+    By the Okada minor-summation identity the signed subword count is the
+    Pfaffian of the skew matrix bordered by the multiplicities m_j, with
+    entry (a, b) = #(a before b) - #(b before a) over position pairs; one
+    pass over the word builds it, and the parity is that Pfaffian divided
+    by the subword count, the product of the m_j.
 
     Raises
     ------
@@ -416,7 +396,20 @@ def necklace_parity(n: Necklace) -> Fraction:
             "necklace invariant"
         )
     w = n.canonical_word
-    return _necklace_parity_cached(w.letters, w.alphabet_size)
+    size = w.alphabet_size + 1
+    # index 0 is the border; letter j sits at index j + 1
+    rows = [[0] * size for _ in range(size)]
+    seen = rows[0]
+    for x in w.letters:
+        row = rows[x + 1]
+        for c in range(1, size):
+            before = seen[c]
+            row[c] -= before
+            rows[c][x + 1] += before
+        seen[x + 1] += 1
+    for c in range(1, size):
+        rows[c][0] = -seen[c]
+    return Fraction(_pfaffian_int(rows), subword_count(w))
 
 
 # =========================================================================

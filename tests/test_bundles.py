@@ -210,6 +210,20 @@ class TestInvalidBundles:
         report = validate_bundle(bad)
         assert any(i.code == "fiber-not-cycle" for i in report.issues)
 
+    def test_chord_is_not_an_arc_of_the_view(self):
+        # the view over the point still sees the chord as a one-section
+        total = LocallyOrderedComplex.from_maximal(
+            4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+        )
+        base = LocallyOrderedComplex.from_maximal(1, [(0,)])
+        bad = BundleMap(total, base, (0, 0, 0, 0), ((0, 1, 2, 3),))
+        with pytest.raises(
+            InvalidInputError,
+            match=r"\[bad-one-section\] at \(0, 2\): collapsed pair \(0, 2\) "
+            "is not an arc of the fiber over vertex 0",
+        ):
+            elementary_view(bad, (0,))
+
     def test_fiber_too_short(self):
         total = LocallyOrderedComplex.from_maximal(2, [(0, 1)])
         base = LocallyOrderedComplex.from_maximal(1, [(0,)])

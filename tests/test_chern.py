@@ -2,11 +2,14 @@
 cycles, Chern numbers, and the realizable-range search."""
 
 import itertools
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from necklace_chern import chern as chern_module
 from necklace_chern.bundles import extract_decoration, product_bundle
 from necklace_chern.chern import (
     FundamentalCycle,
@@ -33,7 +36,10 @@ from necklace_chern.errors import (
     ResourceBudgetError,
     WrongAlphabetError,
 )
-from necklace_chern.words_necklaces import Word, word, words_of_content
+from necklace_chern.serialize import boundary_tetrahedron, hopf_bundle
+from necklace_chern.words_necklaces import SUBWORD_BUDGET, Word, word, words_of_content
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def tetra_boundary() -> LocallyOrderedComplex:
@@ -225,6 +231,12 @@ class TestChernNumber:
             d = extract_decoration(product_bundle(base, m))
             assert chern_number(d) == 0
 
+    def test_long_fibers(self):
+        # each triangle word has 120**3 proper subwords, beyond the budget
+        assert 120**3 > SUBWORD_BUDGET
+        d = extract_decoration(product_bundle(tetra_boundary(), 120))
+        assert chern_number(d) == 0
+
     def test_valid_decorations_always_integral(self):
         base = tetra_boundary()
         fc = fundamental_cycle(base)
@@ -321,3 +333,29 @@ class TestAchievableRange:
         with pytest.raises(ResourceBudgetError):
             achievable_chern_numbers(seven_vertex_torus(), 12, budget=10)
         assert time.perf_counter() - start < 1.0
+
+
+class TestProductionParityRoute:
+    """Chern computations take parity from the Pfaffian engine alone; the
+    subword enumeration and the minor sums are oracles."""
+
+    @pytest.fixture(autouse=True)
+    def oracles_refuse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a parity oracle ran on the production path")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("necklace_chern"):
+                for attr in ("rational_parity", "sum_maximal_minors"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        # candidates computed by earlier tests would hide an oracle call
+        chern_module._triangle_candidates.cache_clear()
+
+    def test_chern_number_of_the_hopf_bundle(self):
+        assert chern_number(extract_decoration(hopf_bundle())) == 1
+
+    def test_range_of_the_tetrahedron(self):
+        text = (GOLDEN / "tetrahedron_range_4.txt").read_text().strip()
+        expected = {int(c) for c in text.strip("{}").split(",")}
+        assert achievable_chern_numbers(boundary_tetrahedron(), 4) == expected

@@ -3,6 +3,7 @@ exit codes, and determinism."""
 
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,14 @@ class TestParity:
         assert proc.returncode == 3
         assert "193536720 maximal minors exceed" in proc.stdout
         assert "Traceback" not in proc.stderr
+
+    def test_pfaffian_route_disagreement_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "necklace_chern.cli.necklace_parity", lambda n: Fraction(-1)
+        )
+        code, out = run(capsys, "parity", "0", "1", "2", "--no-timing")
+        assert code == 1
+        assert "FAIL parity computations disagree" in out.splitlines()
 
     def test_timing_line_present_by_default(self, capsys):
         code, out = run(capsys, "parity", "0", "1", "2")
@@ -229,6 +238,27 @@ class TestExtractAndChern:
         assert "[" in out  # witness issue codes
         assert not (tmp_path / "never.json").exists()
 
+    def test_long_fibers(self, capsys, tmp_path):
+        # 120**3 proper subwords per triangle word, beyond the budget
+        bundle_path = tmp_path / "long.json"
+        save_bundle(product_bundle(tetra_boundary(), 120), bundle_path)
+        dec_path = tmp_path / "dec.json"
+        code, _ = run(
+            capsys,
+            "extract",
+            "--bundle",
+            str(bundle_path),
+            "--out",
+            str(dec_path),
+            "--no-timing",
+        )
+        assert code == 0
+        code, out = run(
+            capsys, "chern", "--decoration", str(dec_path), "--no-timing"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "c1 = 0"
+
     def test_missing_bundle_file(self, capsys, tmp_path):
         code, out = run(
             capsys,
@@ -269,6 +299,28 @@ class TestExtractAndChern:
         )
         assert code == 0
         assert out.splitlines()[-1] == "c1 = 0"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"v": True}, {"v": 1.0}, {"v": "1"}, {"base": None}],
+        ids=["bool-version", "float-version", "string-version", "unknown-key"],
+    )
+    def test_malformed_cycle_file_is_input_error(self, tmp_path, extra):
+        dec_path = tmp_path / "dec.json"
+        save_json(decoration_to_data(extract_decoration(trivial_bundle())), dec_path)
+        coefficients = list(fundamental_cycle(tetra_boundary()).coefficients)
+        cycle_path = tmp_path / "cycle.json"
+        save_json({"v": 1, "coefficients": coefficients, **extra}, cycle_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "necklace_chern.cli", "chern",
+             "--decoration", str(dec_path), "--cycle", str(cycle_path),
+             "--no-timing"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout.splitlines()[-1].startswith("input error: cycle file")
+        assert "Traceback" not in proc.stderr
 
     def test_higher_power_prints_cochain_only(self, capsys, tmp_path):
         bundle_path = tmp_path / "trivial.json"

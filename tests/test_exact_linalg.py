@@ -316,6 +316,74 @@ def test_pfaffian_squared_is_determinant():
             assert pfaffian(s) ** 2 == determinant(s.to_exact_matrix())
 
 
+def expanded_pfaffian(s):
+    """Pfaffian by the plain expansion along the first row."""
+
+    def rec(indices):
+        if not indices:
+            return F(1)
+        first, total = indices[0], F(0)
+        for pos in range(1, len(indices)):
+            rest = indices[1:pos] + indices[pos + 1 :]
+            total += (-1) ** (pos + 1) * s.entry(first, indices[pos]) * rec(rest)
+        return total
+
+    return rec(tuple(range(s.size)))
+
+
+def test_pfaffian_zero_leading_pivot():
+    # entry (0, 1) is zero, so elimination must swap a later index in
+    s = SkewMatrix.from_upper_triangle(
+        4, {(0, 2): 3, (0, 3): F(-2, 5), (1, 2): 7, (1, 3): F(1, 2), (2, 3): -4}
+    )
+    assert pfaffian(s) == expanded_pfaffian(s) == F(-3, 2) - F(14, 5)
+    assert pfaffian(s) ** 2 == determinant(s.to_exact_matrix())
+
+
+def test_pfaffian_zero_first_row():
+    rng = random.Random(53)
+    s = random_skew(rng, 6)
+    upper = {(i, j): s.entry(i, j) for i in range(6) for j in range(i + 1, 6)}
+    s = SkewMatrix.from_upper_triangle(
+        6, {k: v for k, v in upper.items() if k[0] > 0}
+    )
+    assert pfaffian(s) == expanded_pfaffian(s) == 0
+    assert determinant(s.to_exact_matrix()) == 0
+
+
+def test_pfaffian_zero_pivot_after_the_first_step():
+    # the scaled (2, 3) entry a01 a23 - a02 a13 + a03 a12 vanishes
+    s = SkewMatrix.from_upper_triangle(
+        6,
+        {(0, 1): 1, (0, 2): 1, (1, 3): 1, (2, 3): 1, (2, 4): 2, (3, 5): -3,
+         (4, 5): 5, (1, 4): 1, (0, 5): -1},
+    )
+    assert pfaffian(s) == expanded_pfaffian(s)
+    assert pfaffian(s) ** 2 == determinant(s.to_exact_matrix())
+
+
+def sparse_entry(rng):
+    """Zero three times in five, else an integer or a fraction."""
+    return rng.choice((0, 0, 0, rng.randint(-4, 4), F(rng.randint(-5, 5), 3)))
+
+
+def test_pfaffian_matches_expansion_on_sparse_matrices():
+    rng = random.Random(59)
+    for size in (2, 4, 6, 8):
+        for _ in range(40):
+            upper = {
+                (i, j): sparse_entry(rng)
+                for i in range(size)
+                for j in range(i + 1, size)
+            }
+            s = SkewMatrix.from_upper_triangle(size, upper)
+            assert pfaffian(s) == expanded_pfaffian(s)
+
+
+def test_pfaffian_of_the_empty_matrix():
+    assert pfaffian(SkewMatrix(())) == 1
+
+
 def test_determinant_of_odd_skew_vanishes():
     rng = random.Random(37)
     for size in (3, 5):

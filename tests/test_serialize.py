@@ -159,6 +159,42 @@ class TestSchemaValidation:
         with pytest.raises(InvalidInputError, match="key"):
             decoration_from_data(data)
 
+    # "v" must be the integer 1, and every key must be one the writer writes,
+    # at the top level and in the nested "total" and "base" objects
+    @pytest.mark.parametrize(
+        "kind, nested, key, value",
+        [
+            ("complex", None, "v", True),
+            ("complex", None, "v", 1.0),
+            ("complex", None, "v", "1"),
+            ("complex", None, "extra", 0),
+            ("bundle", None, "v", True),
+            ("bundle", None, "bogus", 0),
+            ("bundle", "total", "v", 7),
+            ("bundle", "total", "extra", []),
+            ("bundle", "base", "v", 1),
+            ("decoration", None, "v", 1.0),
+            ("decoration", None, "extra", {}),
+            ("decoration", "base", "v", 1),
+        ],
+    )
+    def test_only_written_keys_load(self, kind, nested, key, value):
+        b = product_bundle(tetra_boundary(), 3)
+        to_data, from_data = {
+            "complex": (lambda: complex_to_data(b.base), complex_from_data),
+            "bundle": (lambda: bundle_to_data(b), bundle_from_data),
+            "decoration": (
+                lambda: decoration_to_data(extract_decoration(b)),
+                decoration_from_data,
+            ),
+        }[kind]
+        data = to_data()
+        from_data(data)
+        target = data if nested is None else data[nested]
+        target[key] = value
+        with pytest.raises(InvalidInputError):
+            from_data(data)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from necklace_chern.errors import (
     InvalidInputError,
     ResourceBudgetError,
 )
+from necklace_chern.exact_linalg import okada_matrix, pfaffian, word_matrix
 from necklace_chern.words_necklaces import (
+    SUBWORD_BUDGET,
     FaceOperator,
     Word,
     all_surjective_words,
@@ -216,6 +219,29 @@ def test_necklace_parity_examples():
 @settings(max_examples=100)
 def test_necklace_parity_matches_any_representative(w):
     assert necklace_parity(canonical_necklace(w)) == rational_parity(w)
+
+
+def test_necklace_parity_matches_every_small_word():
+    for alphabet, longest in ((3, 7), (5, 6)):
+        for length in range(alphabet, longest + 1):
+            for w in all_surjective_words(length, alphabet):
+                assert necklace_parity(canonical_necklace(w)) == rational_parity(w)
+
+
+# letter contents whose subword counts exceed the enumeration budget
+@pytest.mark.parametrize("content", [(105, 105, 105), (4,) * 11])
+def test_necklace_parity_beyond_the_subword_budget(content):
+    letters = [j for j, m in enumerate(content) for _ in range(m)]
+    random.Random(61).shuffle(letters)
+    w = word(letters)
+    assert subword_count(w) > SUBWORD_BUDGET
+    parity = necklace_parity(canonical_necklace(w))
+    assert abs(parity) <= 1
+    # the Fraction Okada route sums column pairs over position pairs, on
+    # the word and on a rotation of it
+    for i in (0, 7):
+        rotated = word_matrix(cyclic_shift(w, i))
+        assert pfaffian(okada_matrix(rotated)) / subword_count(w) == parity
 
 
 # ------------------------------------------------------------ enumeration
