@@ -19,11 +19,9 @@ from .complexes import LocallyOrderedComplex, Simplex, simplex_face
 from .decorations import (
     Decoration,
     _Budget,
-    _face_pair_commutes,
-    _face_pair_slots,
+    _face_slots,
     _multiplicity_vectors,
-    _shift_morphisms,
-    _valid_shifts,
+    _shift_decorations,
     candidate_budget,
     validate_decoration,
 )
@@ -264,82 +262,16 @@ def _solve_shifts(
 
     Slots are ordered triangle by triangle, each followed by the slots of
     its edges, so every functoriality identity of a triangle becomes
-    checkable within a few assignments of entering it. Morphisms are cached
-    per slot and shift since the word layout is fixed for the whole solve.
+    checkable within a few assignments of entering it.
     """
-    slots: List[Tuple[int, int]] = []
-    seen: Set[Tuple[int, int]] = set()
-
-    def push(i: int, j: int) -> None:
-        if (i, j) not in seen:
-            seen.add((i, j))
-            slots.append((i, j))
-
-    for t_id, t in (
-        (base.simplex_id(t), t) for t in base.simplices_of_dimension(2)
-    ):
-        for j in range(3):
-            push(t_id, j)
+    order: List[Tuple[int, int]] = []
+    for t in base.simplices_of_dimension(2):
+        order.extend((base.simplex_id(t), j) for j in range(3))
         for j in range(3):
             e_id = base.simplex_id(simplex_face(t, j))
-            for jj in range(2):
-                push(e_id, jj)
-    for i, s in enumerate(base.simplices):
-        if len(s) > 1:
-            for j in range(len(s)):
-                push(i, j)
-    slot_pos = {slot: pos for pos, slot in enumerate(slots)}
-
-    domains: List[Tuple[int, ...]] = []
-    for i, j in slots:
-        child = words[base.simplex_id(simplex_face(base.simplices[i], j))]
-        options = _valid_shifts(words[i], j, child)
-        if not options:
-            return None
-        domains.append(options)
-
-    # functoriality identities, each attached to its last-assigned slot
-    constraints_at: Dict[int, List[Tuple[Simplex, int, int, tuple]]] = {}
-    for s in base.simplices:
-        if len(s) < 3:
-            continue
-        for j2 in range(len(s)):
-            for j1 in range(j2):
-                pair = tuple(
-                    (base.simplex_id(parent), j)
-                    for parent, j in _face_pair_slots(s, j1, j2)
-                )
-                fires = max(slot_pos[slot] for slot in pair)
-                constraints_at.setdefault(fires, []).append((s, j1, j2, pair))
-
-    assignment: Dict[Tuple[int, int], int] = {}
-    morphism = _shift_morphisms(base, words, assignment)
-    holds_cache: Dict[tuple, bool] = {}
-
-    def holds(s: Simplex, j1: int, j2: int, pair: tuple) -> bool:
-        key = (s, j1, j2) + tuple(map(assignment.__getitem__, pair))
-        cached = holds_cache.get(key)
-        if cached is None:
-            cached = holds_cache[key] = _face_pair_commutes(morphism, s, j1, j2)
-        return cached
-
-    def dfs(pos: int) -> bool:
-        if pos == len(slots):
-            return True
-        i, j = slots[pos]
-        for t in domains[pos]:
-            tally.spend()
-            assignment[(i, j)] = t
-            if all(holds(*c) for c in constraints_at.get(pos, [])):
-                if dfs(pos + 1):
-                    return True
-        assignment.pop((i, j), None)
-        return False
-
-    if not dfs(0):
-        return None
-    shifts = {slot: assignment[slot] for slot in slots}
-    return Decoration.from_maps(base, words, shifts)
+            order.extend((e_id, jj) for jj in range(2))
+    slots = list(dict.fromkeys(order + _face_slots(base)))
+    return next(_shift_decorations(base, words, slots, tally), None)
 
 
 def achievable_chern_numbers(
@@ -402,10 +334,8 @@ def achievable_chern_numbers(
                         return False
             return True
 
-        def try_tuple() -> None:
-            predicted = scale * sum(
-                fc.coefficients[ti] * chosen[ti][1] for ti in range(tri_count)
-            )
+        def try_tuple(signed: Fraction) -> None:
+            predicted = scale * signed
             if predicted.denominator != 1 or int(predicted) in achieved:
                 return
             words: Dict[int, Word] = {}
@@ -435,20 +365,23 @@ def achievable_chern_numbers(
                 )
             achieved.add(realized)
 
-        def assign(ti: int) -> bool:
-            """Depth-first over triangles; returns True to stop everything
+        def assign(ti: int, signed: Fraction) -> bool:
+            """Depth-first over triangles, carrying the signed parity sum of
+            the triangles chosen so far; returns True to stop everything
             (full range achieved)."""
             if ti == tri_count:
-                try_tuple()
+                try_tuple(signed)
                 return achieved == full_range
             for entry in candidates[ti]:
                 tally.spend()
                 chosen[ti] = entry
-                if edge_consistent(ti) and assign(ti + 1):
+                if edge_consistent(ti) and assign(
+                    ti + 1, signed + fc.coefficients[ti] * entry[1]
+                ):
                     return True
             chosen[ti] = None
             return False
 
-        if assign(0):
+        if assign(0, Fraction(0)):
             return achieved
     return achieved

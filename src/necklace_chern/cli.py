@@ -408,15 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--h", type=int, default=2)
     v.set_defaults(func=cmd_verify)
 
-    fv = sub.add_parser(
-        "forms-verify",
-        parents=[common],
-        help="run the connection-form suite (same as: verify forms)",
-    )
-    fv.add_argument("--n", type=int, default=4)
-    fv.add_argument("--h", type=int, default=2)
-    fv.set_defaults(func=cmd_verify, suite="forms")
-
     e = sub.add_parser(
         "extract",
         parents=[common],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import (
     Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 )
@@ -269,7 +269,12 @@ def validate_decoration(d: Decoration) -> ValidationReport:
                 )
     if issues:
         return ValidationReport(tuple(issues))
-    morphism = partial(face_morphism, d)
+    shifts = {
+        (i, j): t
+        for i, per_face in enumerate(d.shifts)
+        for j, t in enumerate(per_face)
+    }
+    morphism = _shift_morphisms(base, d.words, shifts)
     for simplex in base.simplices:
         size = len(simplex)
         if size < 3:
@@ -347,6 +352,81 @@ class _Budget:
             )
 
 
+def _face_slots(base: LocallyOrderedComplex) -> List[Tuple[int, int]]:
+    """Every (simplex id, face) slot that carries a shift, in canonical
+    order."""
+    return [
+        (i, j)
+        for i, s in enumerate(base.simplices)
+        if len(s) > 1
+        for j in range(len(s))
+    ]
+
+
+def _shift_decorations(
+    base: LocallyOrderedComplex,
+    words: Union[Sequence[Word], Mapping[int, Word]],
+    slots: Sequence[Tuple[int, int]],
+    tally: _Budget,
+) -> Iterator[Decoration]:
+    """Every valid decoration with the fixed ``words`` (indexed by simplex
+    id), depth first over the shifts of ``slots`` in the given order.
+
+    ``slots`` lists every face slot of the base once. Each face-pair
+    identity is checked as soon as the last of its four slots is assigned,
+    memoized on (simplex, j1, j2) and the four shifts; every shift tried
+    charges the budget once.
+    """
+    position = {slot: pos for pos, slot in enumerate(slots)}
+    checks_at: List[List[tuple]] = [[] for _ in slots]
+    for s in base.simplices:
+        if len(s) < 3:
+            continue
+        for j2 in range(len(s)):
+            for j1 in range(j2):
+                pair = tuple(
+                    (base.simplex_id(parent), j)
+                    for parent, j in _face_pair_slots(s, j1, j2)
+                )
+                fires = max(position[slot] for slot in pair)
+                checks_at[fires].append((s, j1, j2, pair))
+    domains = [
+        _valid_shifts(
+            words[i], j, words[base.simplex_id(simplex_face(base.simplices[i], j))]
+        )
+        for i, j in slots
+    ]
+    if not all(domains):
+        return
+    shifts: Dict[Tuple[int, int], int] = {}
+    morphism = _shift_morphisms(base, words, shifts)
+    holds: Dict[tuple, bool] = {}
+
+    def commutes(s: Simplex, j1: int, j2: int, pair: tuple) -> bool:
+        key = (s, j1, j2) + tuple(map(shifts.__getitem__, pair))
+        ok = holds.get(key)
+        if ok is None:
+            ok = holds[key] = _face_pair_commutes(morphism, s, j1, j2)
+        return ok
+
+    def search(pos: int) -> Iterator[Decoration]:
+        if pos == len(slots):
+            per_face = tuple(
+                tuple(shifts[(i, j)] for j in range(len(s)) if len(s) > 1)
+                for i, s in enumerate(base.simplices)
+            )
+            by_id = tuple(words[i] for i in range(len(per_face)))
+            yield Decoration(base, by_id, per_face)
+            return
+        for t in domains[pos]:
+            tally.spend()
+            shifts[slots[pos]] = t
+            if all(commutes(*check) for check in checks_at[pos]):
+                yield from search(pos + 1)
+
+    yield from search(0)
+
+
 def _multiplicity_vectors(
     base: LocallyOrderedComplex, max_len: int
 ) -> Iterator[Tuple[int, ...]]:
@@ -401,45 +481,13 @@ def enumerate_decorations(
     tally = _Budget(candidate_budget(budget))
     count = len(base.simplices)
     words: List[Optional[Word]] = [None] * count
-
-    slots: List[Tuple[int, int]] = []
-    for i, s in enumerate(base.simplices):
-        if len(s) > 1:
-            slots.extend((i, j) for j in range(len(s)))
-    shifts: Dict[Tuple[int, int], int] = {}
-
-    def assign_shifts(pos: int, morphism) -> Iterator[Decoration]:
-        if pos == len(slots):
-            yield Decoration(
-                base,
-                tuple(words),  # type: ignore[arg-type]
-                tuple(
-                    tuple(shifts[(i, j)] for j in range(len(s)))
-                    if len(s) > 1
-                    else ()
-                    for i, s in enumerate(base.simplices)
-                ),
-            )
-            return
-        i, j = slots[pos]
-        simplex = base.simplices[i]
-        child = simplex_face(simplex, j)
-        options = _valid_shifts(words[i], j, words[base.simplex_id(child)])
-        for t in options:
-            tally.spend()
-            shifts[(i, j)] = t
-            # the face pairs that this assignment makes decidable
-            if len(simplex) >= 3 and not all(
-                _face_pair_commutes(morphism, simplex, j1, j) for j1 in range(j)
-            ):
-                continue
-            yield from assign_shifts(pos + 1, morphism)
-        shifts.pop((i, j), None)
+    slots = _face_slots(base)
 
     def assign_words(i: int, content_of) -> Iterator[Decoration]:
         if i == count:
-            # the words are fixed for the whole shift search below
-            yield from assign_shifts(0, _shift_morphisms(base, words, shifts))
+            # canonical order: each face pair (j1, j2) of s is checked as
+            # soon as (s, j2) is set
+            yield from _shift_decorations(base, words, slots, tally)
             return
         simplex = base.simplices[i]
         for w in words_of_content(content_of(simplex)):

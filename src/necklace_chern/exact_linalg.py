@@ -93,9 +93,6 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def row(self, i: int) -> Tuple[Fraction, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> Tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 

@@ -137,7 +137,7 @@ class Necklace:
 
     def __post_init__(self) -> None:
         w = self.canonical_word
-        least = min(_rotations(w.letters))
+        least = _least_rotation(w.letters)
         if w.letters != least:
             raise InvalidInputError(
                 f"{w.letters} is not the least rotation {least} of its orbit"
@@ -183,9 +183,6 @@ class FaceOperator:
 
     def image_set(self) -> frozenset:
         return frozenset(self.image)
-
-    def is_identity(self) -> bool:
-        return self.domain_size == self.codomain_size
 
 
 def identity_face(size: int) -> FaceOperator:
@@ -261,22 +258,33 @@ class WordMorphism:
             self.induced_domain_face((x - self.shift) % n) for x in range(n)
         )
 
-    def is_identity(self) -> bool:
-        return (
-            self.shift == 0
-            and self.alphabet_face.is_identity()
-            and self.induced_domain_face.is_identity()
-        )
-
 
 # =========================================================================
 # Operations
 # =========================================================================
 
 
-def _rotations(letters: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    for i in range(len(letters)):
-        yield letters[i:] + letters[:i]
+def _least_rotation(letters: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The lexicographically least rotation, by Booth's algorithm: one
+    failure-function scan of the doubled sequence, linear in its length."""
+    n = len(letters)
+    doubled = letters + letters
+    fail = [-1] * (2 * n)
+    k = 0  # start of the least rotation seen so far
+    for j in range(1, 2 * n):
+        c = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != doubled[k + i + 1]:
+            if c < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != doubled[k]:
+            if c < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return doubled[k:k + n]
 
 
 def cyclic_shift(w: Word, i: int) -> Word:
@@ -318,7 +326,7 @@ def boundary_word(w: Word, delta: FaceOperator) -> Tuple[Word, FaceOperator]:
 
 def canonical_necklace(w: Word) -> Necklace:
     """The orbit of ``w`` under rotation, by its lexicographically least member."""
-    least = min(_rotations(w.letters))
+    least = _least_rotation(w.letters)
     return Necklace(Word(least, w.alphabet_size))
 
 

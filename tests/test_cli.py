@@ -139,12 +139,11 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 3
 
-    def test_forms_verify_alias(self, capsys):
-        code, out = run(
-            capsys, "forms-verify", "--n", "2", "--h", "1", "--no-timing"
-        )
-        assert code == 0
-        assert out.count("PASS") == 3
+    def test_forms_verify_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["forms-verify", "--n", "2", "--h", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'forms-verify'" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         args = (

@@ -1,9 +1,11 @@
 """Tests for decorations: validity checking and exhaustive enumeration."""
 
+import hashlib
 import itertools
 
 import pytest
 
+from necklace_chern import decorations
 from necklace_chern.complexes import LocallyOrderedComplex
 from necklace_chern.decorations import (
     Decoration,
@@ -362,3 +364,73 @@ class TestEnumeration:
         base = LocallyOrderedComplex.from_maximal(4, [(0, 1, 2, 3)])
         with pytest.raises(InvalidInputError):
             list(enumerate_decorations(base, 4))
+
+
+def stream_digest(stream):
+    """The number of decorations and a sha256 over their words and shifts,
+    in stream order."""
+    digest = hashlib.sha256()
+    count = 0
+    for d in stream:
+        key = (tuple((w.letters, w.alphabet_size) for w in d.words), d.shifts)
+        digest.update(repr(key).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+class TestGoldenStreams:
+    """Digests recorded from the enumeration before its shift search and the
+    range solver's were merged into one: order, words and shifts are pinned."""
+
+    def test_triangle_complete(self):
+        assert stream_digest(enumerate_decorations(triangle_complex(), 3)) == (
+            10368,
+            "9e5a61c4e32b8c02feb4e5a99d3bf9cbd99df9f03ed641ee500aba73112aecba",
+        )
+
+    def test_triangle_prefix_with_longer_fibers(self):
+        # past the first 10,368 (all fibers of length 1), repeated letters
+        # make the face-pair identities depend on the shifts
+        stream = itertools.islice(enumerate_decorations(triangle_complex(), 4), 20000)
+        assert stream_digest(stream) == (
+            20000,
+            "6c5490645037755c65e09ab5e9105d9ca70cc84e4a239fabd6bba4203c95e168",
+        )
+
+    def test_tetrahedron_boundary_prefix(self):
+        base = LocallyOrderedComplex.from_maximal(
+            4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        )
+        stream = itertools.islice(enumerate_decorations(base, 4), 3000)
+        assert stream_digest(stream) == (
+            3000,
+            "5d9cde6f5cb584c5d4f2a3f64aa802e9e283daad4e667fec92e9bba3d7f7936f",
+        )
+
+
+class TestMorphismTable:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: elementary_decoration(word([0, 1, 2, 3, 4])),
+            lambda: elementary_decoration(word([3, 1, 0, 2, 1, 3, 0])),
+            lambda: next(
+                itertools.islice(
+                    enumerate_decorations(triangle_complex(), 4), 777, None
+                )
+            ),
+        ],
+        ids=["elementary-5", "elementary-4-repeats", "enumerated-triangle"],
+    )
+    def test_validation_builds_each_face_morphism_once(self, monkeypatch, make):
+        d = make()
+        calls = []
+        real = decorations.morphism_from_shift
+
+        def counting(parent, child, j, t):
+            calls.append((parent, child, j, t))
+            return real(parent, child, j, t)
+
+        monkeypatch.setattr(decorations, "morphism_from_shift", counting)
+        assert validate_decoration(d).ok
+        assert 0 < len(calls) <= sum(len(per_face) for per_face in d.shifts)

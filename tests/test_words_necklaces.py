@@ -165,6 +165,31 @@ def test_necklace_constructor_rejects_non_minimal_representative():
         Necklace(word([1, 0, 1, 0]))
 
 
+def least_rotation_oracle(letters):
+    return min(letters[i:] + letters[:i] for i in range(len(letters)))
+
+
+def test_least_rotation_matches_the_minimum_over_rotations():
+    from necklace_chern.words_necklaces import Necklace
+
+    words = [w for n in range(3, 9) for w in all_surjective_words(n, 3)]
+    for k in (1, 2, 3, 7, 40):
+        words += [
+            word((0, 1, 2) * k),
+            word((2, 1, 0) * k),
+            word((1, 0, 1, 2, 0, 1) * k),
+            word((0,) * k),
+        ]
+    rng = random.Random(5)
+    words += [word([rng.randrange(3) for _ in range(200)] + [0, 1, 2])]
+    for w in words:
+        least = least_rotation_oracle(w.letters)
+        assert canonical_necklace(w).canonical_word.letters == least
+        if w.letters != least:
+            with pytest.raises(InvalidInputError):
+                Necklace(w)
+
+
 # ------------------------------------------------------------- parity
 
 
