@@ -498,22 +498,18 @@ def product_bundle(base: LocallyOrderedComplex, m: int) -> BundleMap:
     """
     if m < 3:
         raise InvalidInputError("a simplicial circle needs at least 3 vertices")
-    maximal_total = set()
-    for U in base.maximal_simplices():
-        k = len(U) - 1
-        for t in range(m):
-            up = (t + 1) % m
-            for r in range(k + 1):
-                cell = tuple(
-                    sorted(
-                        [U[a] * m + up for a in range(r + 1)]
-                        + [U[a] * m + t for a in range(r, k + 1)]
-                    )
-                )
-                maximal_total.add(cell)
-    total = LocallyOrderedComplex.from_maximal(
-        base.vertex_count * m, sorted(maximal_total)
+    prisms = (
+        tuple(
+            sorted(
+                [U[a] * m + (t + 1) % m for a in range(r + 1)]
+                + [U[a] * m + t for a in range(r, len(U))]
+            )
+        )
+        for U in base.maximal_simplices()
+        for t in range(m)
+        for r in range(len(U))
     )
+    total = LocallyOrderedComplex.from_maximal(base.vertex_count * m, prisms)
     fiber_orientation = tuple(
         tuple(v * m + t for t in range(m)) for v in range(base.vertex_count)
     )

@@ -9,9 +9,12 @@ used in file formats are indices into that list.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, filterfalse, groupby, islice
+from operator import itemgetter, lt
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
 
@@ -20,7 +23,6 @@ __all__ = [
     "ValidationIssue",
     "ValidationReport",
     "simplex_face",
-    "canonical_simplex_order",
 ]
 
 Simplex = Tuple[int, ...]
@@ -33,9 +35,13 @@ def simplex_face(simplex: Sequence[int], j: int) -> Simplex:
     return tuple(simplex[:j]) + tuple(simplex[j + 1 :])
 
 
-def canonical_simplex_order(simplices: Iterable[Sequence[int]]) -> Tuple[Simplex, ...]:
-    """Sort simplices by (dimension, vertex tuple)."""
-    return tuple(sorted((tuple(s) for s in simplices), key=lambda s: (len(s), s)))
+def _facet_getters(d: int) -> Iterator[Callable[[Simplex], Simplex]]:
+    """Pickers of facets 0..d of a d-simplex (d >= 1), made one at a time:
+    the outer two slice, each inner one picks its d >= 2 other positions."""
+    yield itemgetter(slice(1, None))
+    for j in range(1, d):
+        yield itemgetter(*range(j), *range(j + 1, d + 1))
+    yield itemgetter(slice(d))
 
 
 @dataclass(frozen=True)
@@ -51,72 +57,89 @@ class LocallyOrderedComplex:
     simplices: Tuple[Simplex, ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count <= 0:
+        n = self.vertex_count
+        # False falls through to the message for counts below 1
+        if not isinstance(n, int) or n is True:
+            raise InvalidInputError(f"vertex count {n!r} is not an integer")
+        if n <= 0:
             raise InvalidInputError("complex needs at least one vertex")
-        object.__setattr__(
-            self, "simplices", tuple(tuple(s) for s in self.simplices)
-        )
-        if not self.simplices:
+        try:
+            simplices = tuple(map(tuple, self.simplices))
+        except TypeError:
+            raise InvalidInputError("simplices must be vertex sequences") from None
+        object.__setattr__(self, "simplices", simplices)
+        if not simplices:
             raise InvalidInputError("complex needs at least one simplex")
         seen = set()
-        touched = set()
-        for s in self.simplices:
+        for s in simplices:
             if not s:
                 raise InvalidInputError("empty simplex")
-            if any(not isinstance(v, int) or isinstance(v, bool) for v in s):
-                raise InvalidInputError(f"non-integer vertex in {s}")
-            if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-                raise InvalidInputError(f"simplex {s} is not strictly increasing")
-            if s[0] < 0 or s[-1] >= self.vertex_count:
+            for v in s:
+                # the exact test runs only where the fast one fails
+                if type(v) is not int and (
+                    not isinstance(v, int) or isinstance(v, bool)
+                ):
+                    raise InvalidInputError(f"non-integer vertex in {s}")
+            for i in range(len(s) - 1):
+                if s[i] >= s[i + 1]:
+                    raise InvalidInputError(f"simplex {s} is not strictly increasing")
+            if s[0] < 0 or s[-1] >= n:
                 raise InvalidInputError(f"simplex {s} has out-of-range vertices")
             if s in seen:
                 raise InvalidInputError(f"duplicate simplex {s}")
             seen.add(s)
-            touched.update(s)
-        if self.simplices != canonical_simplex_order(self.simplices):
+        runs = tuple(tuple(run) for _, run in groupby(simplices, len))
+        # (len(s), s) rises: from run to run of one length, and within each run
+        lengths = [len(run[0]) for run in runs]
+        if not all(map(lt, lengths, lengths[1:])) or not all(
+            all(map(lt, run, run[1:])) for run in runs
+        ):
             raise InvalidInputError(
                 "simplices are not in canonical (dimension, tuple) order"
             )
-        if touched != set(range(self.vertex_count)):
-            missing = sorted(set(range(self.vertex_count)) - touched)
-            raise InvalidInputError(f"vertices {missing} appear in no simplex")
-        for s in self.simplices:
-            if len(s) == 1:
-                continue
-            for j in range(len(s)):
-                if simplex_face(s, j) not in seen:
-                    raise InvalidInputError(
-                        f"complex is not closed under faces: {s} lacks face {j}"
-                    )
+        # n distinct 0-simplices in range use every vertex
+        if len(simplices[0]) != 1 or len(runs[0]) != n:
+            used = set(chain.from_iterable(simplices))
+            if len(used) != n:
+                # name ten at most: a huge count must cost no more than its input
+                missing = list(islice(filterfalse(used.__contains__, range(n)), 10))
+                more = f" and {n - len(used) - 10} more" if len(used) < n - 10 else ""
+                raise InvalidInputError(f"vertices {missing}{more} appear in no simplex")
+        for run in runs:
+            d = len(run[0]) - 1
+            # stops at the first facet index some simplex of the run lacks
+            if d and not all(seen.issuperset(map(f, run)) for f in _facet_getters(d)):
+                s, j = next(
+                    (s, j)
+                    for s in run
+                    for j in range(d + 1)
+                    if s[:j] + s[j + 1 :] not in seen
+                )
+                raise InvalidInputError(
+                    f"complex is not closed under faces: {s} lacks face {j}"
+                )
+        # read by simplices_of_dimension; closure leaves no dimension unlisted
+        object.__setattr__(self, "_by_dimension", runs)
 
     @staticmethod
     def from_maximal(
         vertex_count: int, maximal: Iterable[Sequence[int]]
     ) -> "LocallyOrderedComplex":
-        """Build the face closure of the given generating simplices."""
-        closure = set()
-        stack: List[Simplex] = [tuple(s) for s in maximal]
-        while stack:
-            s = stack.pop()
-            if s in closure or not s:
-                continue
-            closure.add(s)
-            if len(s) > 1:
-                stack.extend(simplex_face(s, j) for j in range(len(s)))
-        return LocallyOrderedComplex(vertex_count, canonical_simplex_order(closure))
+        """Build the face closure of the given generating simplices, adding
+        each dimension's facets to the layer below, from the top down."""
+        layers = defaultdict(set)  # by vertex count; the empty simplex is dropped
+        for s in map(tuple, maximal):
+            layers[len(s)].add(s)
+        top = max(layers, default=0)
+        for k in range(top, 1, -1):
+            for facet in _facet_getters(k - 1):
+                layers[k - 1].update(map(facet, layers[k]))
+        ordered = chain.from_iterable(sorted(layers[k]) for k in range(1, top + 1))
+        return LocallyOrderedComplex(vertex_count, tuple(ordered))
 
     @cached_property
     def _index(self) -> Dict[Simplex, int]:
         return {s: i for i, s in enumerate(self.simplices)}
-
-    @cached_property
-    def _by_dimension(self) -> Tuple[Tuple[Simplex, ...], ...]:
-        """The canonical order cut once into its runs of equal dimension;
-        closure under faces leaves no dimension empty below the top."""
-        runs: List[List[Simplex]] = [[] for _ in range(self.dimension + 1)]
-        for s in self.simplices:
-            runs[len(s) - 1].append(s)
-        return tuple(tuple(run) for run in runs)
 
     @property
     def dimension(self) -> int:

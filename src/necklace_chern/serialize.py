@@ -85,9 +85,7 @@ def complex_from_data(data: dict, versioned: bool = True) -> LocallyOrderedCompl
     raw = data.get("simplices")
     if not isinstance(raw, list):
         raise InvalidInputError("\"simplices\" must be a list")
-    simplices = tuple(
-        tuple(_int_list(s, "each simplex")) for s in raw
-    )
+    simplices = [_int_list(s, "each simplex") for s in raw]
     return LocallyOrderedComplex(vertices, simplices)
 
 
