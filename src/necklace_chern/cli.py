@@ -10,37 +10,12 @@ timing line, which --no-timing suppresses.
 from __future__ import annotations
 
 import argparse
-import itertools
-import math
-import random
 import sys
 import time
-from fractions import Fraction
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .chern import (
-    FundamentalCycle,
-    achievable_chern_numbers,
-    chern_cochain,
-    chern_number,
-    fundamental_cycle,
-)
-from .bundles import extract_decoration, validate_bundle
-from .cyclic_category import (
-    dual_degeneracy,
-    factorize_shift,
-)
-from .cyclic_forms import (
-    AffineSimplexMap,
-    ExteriorForm,
-    connection_form,
-    curvature,
-    exterior_derivative,
-    pullback_affine,
-    pullback_cyclic_gauge,
-    wedge_power,
-)
-from .decorations import validate_decoration
+# Each command imports the modules it runs, so a fresh process loads and
+# compiles only those; main needs just the error types.
 from .errors import (
     InvalidInputError,
     NonIntegralError,
@@ -48,29 +23,9 @@ from .errors import (
     NotClosedError,
     ResourceBudgetError,
 )
-from .exact_linalg import (
-    ExactMatrix,
-    matrix_parity,
-    normalized_word_matrix,
-    okada_matrix,
-    pfaffian,
-    sum_maximal_minors,
-)
-from .serialize import (
-    _load,
-    _require_fields,
-    load_bundle,
-    load_complex,
-    load_decoration,
-    save_decoration,
-)
-from .words_necklaces import (
-    FaceOperator,
-    canonical_necklace,
-    necklace_parity,
-    rational_parity,
-    word,
-)
+
+if TYPE_CHECKING:
+    from .chern import FundamentalCycle
 
 __all__ = ["main"]
 
@@ -97,6 +52,14 @@ def _positive(kind: str, value: int) -> int:
 
 
 def cmd_parity(args: argparse.Namespace) -> int:
+    from .exact_linalg import matrix_parity, normalized_word_matrix
+    from .words_necklaces import (
+        canonical_necklace,
+        necklace_parity,
+        rational_parity,
+        word,
+    )
+
     w = word(args.letters)
     brute = rational_parity(w)
     minors = matrix_parity(normalized_word_matrix(w))
@@ -120,6 +83,15 @@ def cmd_parity(args: argparse.Namespace) -> int:
 
 
 def _verify_okada(args: argparse.Namespace) -> None:
+    import random
+
+    from .exact_linalg import (
+        ExactMatrix,
+        okada_matrix,
+        pfaffian,
+        sum_maximal_minors,
+    )
+
     rows_bound = _positive("--rows", args.rows)
     cols_bound = _positive("--cols", args.cols)
     samples = _positive("--samples", args.samples)
@@ -146,6 +118,11 @@ def _verify_okada(args: argparse.Namespace) -> None:
 
 
 def _verify_identities(args: argparse.Namespace) -> None:
+    import itertools
+
+    from .cyclic_category import dual_degeneracy, factorize_shift
+    from .words_necklaces import FaceOperator
+
     bound = _positive("--max-k", args.max_k)
 
     def all_faces(size: int, codomain: int):
@@ -211,6 +188,22 @@ def _verify_identities(args: argparse.Namespace) -> None:
 
 
 def _verify_forms(args: argparse.Namespace) -> None:
+    import math
+    import random
+    from fractions import Fraction
+
+    from .cyclic_forms import (
+        AffineSimplexMap,
+        ExteriorForm,
+        connection_form,
+        curvature,
+        exterior_derivative,
+        pullback_affine,
+        pullback_cyclic_gauge,
+        wedge_power,
+    )
+    from .exact_linalg import ExactMatrix, sum_maximal_minors
+
     n_bound = args.n
     h_bound = args.h
     if n_bound < 0 or h_bound < 0:
@@ -306,6 +299,10 @@ def _report_issues(label: str, report) -> None:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from .bundles import extract_decoration, validate_bundle
+    from .decorations import validate_decoration
+    from .serialize import load_bundle, save_decoration
+
     b = load_bundle(args.bundle)
     _report_issues("bundle validation", validate_bundle(b))
     d = extract_decoration(b)
@@ -319,6 +316,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_chern(args: argparse.Namespace) -> int:
+    from .chern import chern_cochain, chern_number, fundamental_cycle
+    from .decorations import validate_decoration
+    from .serialize import load_decoration
+
     h = args.h
     if h < 0:
         raise InvalidInputError("--h must be nonnegative")
@@ -347,15 +348,20 @@ def cmd_chern(args: argparse.Namespace) -> int:
 
 
 def _load_cycle(path: str, d) -> FundamentalCycle:
+    from .chern import FundamentalCycle
+    from .serialize import _int_list, _load, _require_fields
+
     data = _load(path, "cycle")
     _require_fields(data, "cycle file", ("coefficients",), versioned=True)
-    coeffs = data.get("coefficients")
-    if not isinstance(coeffs, list):
-        raise InvalidInputError("cycle file needs a \"coefficients\" list")
+    # exact ints only: True and 1.0 compare equal to 1
+    coeffs = _int_list(data.get("coefficients"), "cycle file \"coefficients\"")
     return FundamentalCycle(d.base, tuple(coeffs))
 
 
 def cmd_range(args: argparse.Namespace) -> int:
+    from .chern import achievable_chern_numbers
+    from .serialize import load_complex
+
     base = load_complex(args.base)
     if args.max_len < 1:
         raise InvalidInputError("--max-len must be at least 1")

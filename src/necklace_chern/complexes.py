@@ -128,14 +128,23 @@ class LocallyOrderedComplex:
         """Build the face closure of the given generating simplices, adding
         each dimension's facets to the layer below, from the top down."""
         layers = defaultdict(set)  # by vertex count; the empty simplex is dropped
-        for s in map(tuple, maximal):
-            layers[len(s)].add(s)
-        top = max(layers, default=0)
-        for k in range(top, 1, -1):
-            for facet in _facet_getters(k - 1):
-                layers[k - 1].update(map(facet, layers[k]))
-        ordered = chain.from_iterable(sorted(layers[k]) for k in range(1, top + 1))
-        return LocallyOrderedComplex(vertex_count, tuple(ordered))
+        try:
+            for s in map(tuple, maximal):
+                layers[len(s)].add(s)
+            top = max(layers, default=0)
+            for k in range(top, 1, -1):
+                for facet in _facet_getters(k - 1):
+                    layers[k - 1].update(map(facet, layers[k]))
+            ordered = tuple(
+                chain.from_iterable(sorted(layers[k]) for k in range(1, top + 1))
+            )
+        except TypeError:
+            # a generator that is not a sequence, an unhashable vertex, or
+            # vertices of types that do not compare
+            raise InvalidInputError(
+                "generating simplices must be sequences of integer vertices"
+            ) from None
+        return LocallyOrderedComplex(vertex_count, ordered)
 
     @cached_property
     def _index(self) -> Dict[Simplex, int]:

@@ -33,12 +33,9 @@ if TYPE_CHECKING:
 __all__ = [
     "ExactMatrix",
     "SkewMatrix",
-    "word_matrix",
     "normalized_word_matrix",
-    "apply_as_operator",
     "determinant",
     "sum_maximal_minors",
-    "column_subset_minor_sum",
     "pfaffian",
     "okada_matrix",
     "matrix_parity",
@@ -172,13 +169,6 @@ class SkewMatrix:
 # =========================================================================
 
 
-def word_matrix(w: Word) -> ExactMatrix:
-    """The 0/1 matrix L(w) with entry (i, j) = 1 iff w(i) = j."""
-    return ExactMatrix.from_rows(
-        [[1 if letter == j else 0 for j in range(w.alphabet_size)] for letter in w.letters]
-    )
-
-
 def normalized_word_matrix(w: Word) -> ExactMatrix:
     """The column-normalized word matrix: entry (i, j) = 1/m_j iff w(i) = j."""
     mult = w.multiplicities()
@@ -190,29 +180,6 @@ def normalized_word_matrix(w: Word) -> ExactMatrix:
             )
             for letter in w.letters
         )
-    )
-
-
-def apply_as_operator(
-    m: ExactMatrix, t: Sequence[_EntryLike]
-) -> Tuple[Fraction, ...]:
-    """Apply a column-stochastic matrix to a barycentric point, exactly.
-
-    ``t`` must have one nonnegative entry per column, summing to one; the
-    result has one entry per row.
-    """
-    point = tuple(_as_fraction(x) for x in t)
-    if len(point) != m.cols:
-        raise DimensionMismatchError(
-            f"point has {len(point)} coordinates, matrix has {m.cols} columns"
-        )
-    if any(x < 0 for x in point):
-        raise InvalidInputError("barycentric coordinates must be nonnegative")
-    if sum(point) != 1:
-        raise InvalidInputError("barycentric coordinates must sum to one")
-    return tuple(
-        sum((row[j] * point[j] for j in range(m.cols)), Fraction(0))
-        for row in m.entries
     )
 
 
@@ -313,24 +280,6 @@ def determinant(m: ExactMatrix) -> Fraction:
     return _det_int(table) * scale
 
 
-def _cofactor_determinant(m: ExactMatrix) -> Fraction:
-    """Direct cofactor expansion; the small-size oracle used in tests."""
-    if m.rows != m.cols:
-        raise DimensionMismatchError(f"determinant of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 1:
-        return m.entries[0][0]
-    total = Fraction(0)
-    rest_rows = range(1, n)
-    for j in range(n):
-        a = m.entries[0][j]
-        if a == 0:
-            continue
-        minor = m.submatrix(rest_rows, [c for c in range(n) if c != j])
-        total += (-1) ** j * a * _cofactor_determinant(minor)
-    return total
-
-
 def sum_maximal_minors(m: ExactMatrix) -> Fraction:
     """Sum of the determinants of all maximal (cols x cols) row selections.
 
@@ -358,21 +307,6 @@ def sum_maximal_minors(m: ExactMatrix) -> Fraction:
     for selection in itertools.combinations(range(m.rows), k):
         total += _det_int([table[i] for i in selection])
     return total * scale
-
-
-def column_subset_minor_sum(m: ExactMatrix, columns: Sequence[int]) -> Fraction:
-    """Sum of all |columns| x |columns| minors using exactly those columns.
-
-    Computed over all row selections of matching size with both index sets
-    increasing.  The empty column set gives 1 (the empty minor).
-    """
-    columns = tuple(columns)
-    if len(set(columns)) != len(columns):
-        raise InvalidInputError("column subset contains repeats")
-    if not columns:
-        return Fraction(1)
-    sub = m.submatrix(range(m.rows), sorted(columns))
-    return sum_maximal_minors(sub)
 
 
 # =========================================================================

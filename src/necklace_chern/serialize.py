@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Tuple, Union
 
-from .bundles import BundleMap
 from .complexes import LocallyOrderedComplex
 from .decorations import Decoration
 from .errors import InvalidInputError
 from .words_necklaces import Word
+
+if TYPE_CHECKING:
+    from .bundles import BundleMap
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -102,6 +104,9 @@ def bundle_to_data(b: BundleMap) -> dict:
 
 
 def bundle_from_data(data: dict) -> BundleMap:
+    # loaded here only: reading a decoration or complex never needs bundles
+    from .bundles import BundleMap
+
     keys = ("total", "base", "vertex_map", "fiber_orientation")
     _require_fields(data, "bundle file", keys, versioned=True)
     total = complex_from_data(data.get("total"), versioned=False)
@@ -198,11 +203,12 @@ def save_json(data: dict, path: Union[str, Path]) -> None:
 def _load(path: Union[str, Path], what: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InvalidInputError(f"cannot read {what} file {path}: {err}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    # nesting deeper than the decoder's recursion limit is no valid file either
+    except (json.JSONDecodeError, RecursionError) as err:
         raise InvalidInputError(f"{what} file {path} is not valid JSON: {err}")
 
 

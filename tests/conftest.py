@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 from hypothesis import strategies as st
@@ -43,3 +44,63 @@ def odd_alphabet_words(draw, max_length: int = 9) -> Word:
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     random.Random(seed).shuffle(letters)
     return Word(tuple(letters), alphabet)
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _slots(node, depth=0):
+    """(container, key, depth) for every entry below a JSON value."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append((node, key, depth))
+        out.extend(_slots(child, depth + 1))
+    return out
+
+
+@st.composite
+def mutated_json(draw, valid: dict):
+    """A copy of valid JSON data changed in one to three places: an entry
+    replaced by arbitrary JSON or by a nearby integer, deleted, or joined
+    by a new one.  Half the edits land in the top two levels, where the
+    schema's own keys are."""
+    data = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(data)
+        if draw(st.booleans()):
+            slots = [slot for slot in slots if slot[2] < 2] or slots
+        if not slots:
+            break
+        node, key, _ = draw(st.sampled_from(slots))
+        edit = draw(st.sampled_from(["replace", "nudge", "delete", "insert"]))
+        if edit == "replace":
+            node[key] = draw(json_values)
+        elif edit == "nudge":
+            value = node[key]
+            number = value if isinstance(value, int) else draw(st.integers(-2, 20))
+            node[key] = number + draw(st.sampled_from([-1, 1, 10**30]))
+        elif edit == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(st.text(max_size=3))] = draw(json_values)
+        else:
+            node.insert(key, draw(json_values))
+    return data

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface: output formats,
 exit codes, and determinism."""
 
+import json
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import necklace_chern
 from necklace_chern.bundles import extract_decoration, product_bundle
@@ -21,6 +24,8 @@ from necklace_chern.serialize import (
     save_json,
     trivial_bundle,
 )
+
+from conftest import json_values, mutated_json
 
 DATA = Path(necklace_chern.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,7 +98,7 @@ class TestParity:
 
     def test_pfaffian_route_disagreement_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "necklace_chern.cli.necklace_parity", lambda n: Fraction(-1)
+            "necklace_chern.words_necklaces.necklace_parity", lambda n: Fraction(-1)
         )
         code, out = run(capsys, "parity", "0", "1", "2", "--no-timing")
         assert code == 1
@@ -301,8 +306,24 @@ class TestExtractAndChern:
 
     @pytest.mark.parametrize(
         "extra",
-        [{"v": True}, {"v": 1.0}, {"v": "1"}, {"base": None}],
-        ids=["bool-version", "float-version", "string-version", "unknown-key"],
+        [
+            {"v": True},
+            {"v": 1.0},
+            {"v": "1"},
+            {"base": None},
+            {"coefficients": [-1, True, -1, True]},
+            {"coefficients": [-1.0, 1, -1, 1]},
+            {"coefficients": None},
+        ],
+        ids=[
+            "bool-version",
+            "float-version",
+            "string-version",
+            "unknown-key",
+            "bool-coefficients",
+            "float-coefficients",
+            "no-coefficient-list",
+        ],
     )
     def test_malformed_cycle_file_is_input_error(self, tmp_path, extra):
         dec_path = tmp_path / "dec.json"
@@ -489,3 +510,66 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "P = 1"
+
+
+# =========================================================================
+# Malformed files: a command exits 0, 1 or 2 and lets no exception out
+# =========================================================================
+
+# each example rewrites the same files under tmp_path
+_FUZZ = settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+_TETRA_CYCLE = {"v": 1, "coefficients": [-1, 1, -1, 1]}
+
+
+def _well_formed_cycle(data):
+    return (
+        isinstance(data, dict)
+        and set(data) == {"v", "coefficients"}
+        and type(data["v"]) is int
+        and data["v"] == 1
+        and isinstance(data["coefficients"], list)
+        and len(data["coefficients"]) == 4
+        and all(type(c) is int and c in (-1, 1) for c in data["coefficients"])
+    )
+
+
+@_FUZZ
+@given(
+    (mutated_json(_TETRA_CYCLE) | json_values)
+    .filter(lambda data: not _well_formed_cycle(data))
+    .map(lambda data: json.dumps(data).encode())
+    | st.binary(max_size=40)
+)
+def test_malformed_cycle_file_exits_2(capsys, tmp_path, content):
+    dec = GOLDEN / "hopf_decoration.json"
+    cycle = tmp_path / "cycle.json"
+    cycle.write_bytes(content)
+    capsys.readouterr()
+    code = main(["chern", "--decoration", str(dec), "--cycle", str(cycle), "--no-timing"])
+    assert code == 2
+    assert capsys.readouterr().out.splitlines()[-1].startswith("input error:")
+
+
+@_FUZZ
+@given(st.sampled_from(["hopf", "trivial"]).flatmap(
+    lambda name: mutated_json(packaged_data(f"{name}_bundle.json"))
+))
+def test_extract_on_a_malformed_bundle_raises_nothing(tmp_path, data):
+    bundle = tmp_path / "bundle.json"
+    save_json(data, bundle)
+    out = str(tmp_path / "dec.json")
+    assert main(["extract", "--bundle", str(bundle), "--out", out, "--no-timing"]) in (0, 1, 2)
+
+
+@_FUZZ
+@given(st.sampled_from(["hopf", "trivial"]).flatmap(
+    lambda name: mutated_json(json.loads((GOLDEN / f"{name}_decoration.json").read_text()))
+))
+def test_chern_on_a_malformed_decoration_raises_nothing(tmp_path, data):
+    dec = tmp_path / "dec.json"
+    save_json(data, dec)
+    assert main(["chern", "--decoration", str(dec), "--no-timing"]) in (0, 1, 2)

@@ -24,6 +24,8 @@ from necklace_chern.serialize import (
 )
 from necklace_chern.words_necklaces import Word
 
+from conftest import json_scalars, json_values
+
 
 def closure_oracle(generators):
     """Every nonempty face of every generator, sorted by (len(s), s)."""
@@ -258,6 +260,21 @@ def test_from_maximal_rejects_like_the_constructor(generators, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [(0, "a")],  # vertices that do not compare
+        [5],  # a generator that is not a sequence
+        [(0, [1])],  # an unhashable vertex
+        5,  # no list of generators at all
+    ],
+)
+def test_from_maximal_rejects_generators_it_cannot_close(generators):
+    with pytest.raises(InvalidInputError) as err:
+        LocallyOrderedComplex.from_maximal(3, generators)
+    assert str(err.value) == "generating simplices must be sequences of integer vertices"
+
+
 def test_accepts_int_subclasses_and_any_sequences():
     class Label(int):
         pass
@@ -327,19 +344,6 @@ def test_from_maximal_matches_set_closure(generators):
 # The loader under fuzzing: load, or raise InvalidInputError, nothing else
 # =========================================================================
 
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text(max_size=3)
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=12,
-)
 vertex_like = (
     st.integers(-2, 8) | st.integers() | st.booleans() | st.floats(-2, 8) | st.none()
 )

@@ -16,20 +16,22 @@ from necklace_chern.errors import (
 from necklace_chern.exact_linalg import (
     ExactMatrix,
     SkewMatrix,
-    _cofactor_determinant,
-    apply_as_operator,
-    column_subset_minor_sum,
     determinant,
     matrix_parity,
     normalized_word_matrix,
     okada_matrix,
     pfaffian,
     sum_maximal_minors,
-    word_matrix,
 )
 from necklace_chern.words_necklaces import all_surjective_words, rational_parity, word
 
 from conftest import surjective_words
+from oracles import (
+    apply_as_operator,
+    cofactor_determinant,
+    column_subset_minor_sum,
+    word_matrix,
+)
 
 F = Fraction
 
@@ -216,7 +218,7 @@ def test_determinant_matches_cofactor_oracle():
                 for _ in range(n)
             ]
         )
-        assert determinant(m) == _cofactor_determinant(m)
+        assert determinant(m) == cofactor_determinant(m)
 
 
 def test_determinant_multiplicative():
@@ -265,7 +267,7 @@ def test_minor_sum_oracle_brute_force():
         cols = rng.randint(1, min(rows, 4))
         m = random_int_matrix(rng, rows, cols)
         expected = sum(
-            _cofactor_determinant(m.submatrix(sel))
+            cofactor_determinant(m.submatrix(sel))
             for sel in itertools.combinations(range(rows), cols)
         )
         assert sum_maximal_minors(m) == expected

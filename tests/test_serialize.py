@@ -2,8 +2,11 @@
 
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necklace_chern.bundles import (
+    cycle_bundle,
     extract_decoration,
     product_bundle,
     validate_bundle,
@@ -29,6 +32,8 @@ from necklace_chern.serialize import (
     save_decoration,
     trivial_bundle,
 )
+
+from conftest import json_values, mutated_json
 
 
 def tetra_boundary():
@@ -234,3 +239,45 @@ class TestPackagedCorpus:
     def test_data_files_carry_version(self):
         for name in packaged_bundle_names() + ("boundary_tetrahedron.json",):
             assert packaged_data(name)["v"] == 1
+
+
+# =========================================================================
+# The loaders under fuzzing: load, or raise InvalidInputError, nothing else
+# =========================================================================
+
+_BUNDLES = [bundle_to_data(trivial_bundle()), bundle_to_data(cycle_bundle(4))]
+_DECORATIONS = [
+    decoration_to_data(extract_decoration(trivial_bundle())),
+    decoration_to_data(extract_decoration(hopf_bundle())),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_BUNDLES).flatmap(mutated_json) | json_values)
+def test_bundle_loader_raises_only_input_errors(data):
+    try:
+        bundle_from_data(data)
+    except InvalidInputError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_DECORATIONS).flatmap(mutated_json) | json_values)
+def test_decoration_loader_raises_only_input_errors(data):
+    try:
+        decoration_from_data(data)
+    except InvalidInputError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b"[" * 100_000],
+    ids=["not-utf8", "nested-past-the-recursion-limit"],
+)
+def test_unreadable_files_are_input_errors(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for load in (load_complex, load_bundle, load_decoration):
+        with pytest.raises(InvalidInputError):
+            load(path)

@@ -15,7 +15,7 @@ from necklace_chern.errors import (
     InvalidInputError,
     ResourceBudgetError,
 )
-from necklace_chern.exact_linalg import okada_matrix, pfaffian, word_matrix
+from necklace_chern.exact_linalg import okada_matrix, pfaffian
 from necklace_chern.words_necklaces import (
     SUBWORD_BUDGET,
     FaceOperator,
@@ -33,6 +33,7 @@ from necklace_chern.words_necklaces import (
 )
 
 from conftest import odd_alphabet_words, surjective_words
+from oracles import word_matrix
 
 
 # ---------------------------------------------------------------- words
