@@ -96,7 +96,7 @@ def _verify_okada(args: argparse.Namespace) -> None:
     cols_bound = _positive("--cols", args.cols)
     samples = _positive("--samples", args.samples)
     rng = random.Random(_VERIFY_SEED)
-    odd = even = 0
+    odd = 0
     for index in range(samples):
         cols = rng.randint(1, min(cols_bound, rows_bound))
         rows = rng.randint(cols, rows_bound)
@@ -106,13 +106,10 @@ def _verify_okada(args: argparse.Namespace) -> None:
         if pfaffian(okada_matrix(x)) != sum_maximal_minors(x):
             print(f"FAIL okada identity at sample {index}: {x.entries}")
             raise CheckFailure
-        if cols % 2 == 1:
-            odd += 1
-        else:
-            even += 1
+        odd += cols % 2
     print(
         f"PASS okada Pfaffian identity: {samples} samples "
-        f"({odd} odd-column, {even} even-column), sizes up to "
+        f"({odd} odd-column, {samples - odd} even-column), sizes up to "
         f"{rows_bound}x{cols_bound}"
     )
 
@@ -349,13 +346,25 @@ def cmd_chern(args: argparse.Namespace) -> int:
 
 def _load_cycle(path: str, d) -> FundamentalCycle:
     from .chern import FundamentalCycle
+    from .complexes import simplex_face
     from .serialize import _int_list, _load, _require_fields
 
     data = _load(path, "cycle")
     _require_fields(data, "cycle file", ("coefficients",), versioned=True)
     # exact ints only: True and 1.0 compare equal to 1
     coeffs = _int_list(data.get("coefficients"), "cycle file \"coefficients\"")
-    return FundamentalCycle(d.base, tuple(coeffs))
+    fc = FundamentalCycle(d.base, tuple(coeffs))
+    boundary = dict.fromkeys(d.base.simplices_of_dimension(1), 0)
+    for t, c in zip(fc.triangles, fc.coefficients):
+        for j in range(3):
+            boundary[simplex_face(t, j)] += c * (-1) ** j
+    for edge, value in boundary.items():
+        if value:
+            raise InvalidInputError(
+                f"cycle file coefficients are not a cycle: their boundary "
+                f"is {value} on edge {edge}"
+            )
+    return fc
 
 
 def cmd_range(args: argparse.Namespace) -> int:

@@ -25,8 +25,8 @@ __all__ = [
     "NonIntegralError",
 ]
 
-# Cap on the number of terms a single enumeration may visit: proper subwords
-# of one word, or maximal minors of one matrix.  Above the cap a
+# Cap on the work of a single enumeration: the proper subwords of one word,
+# or the (row, column set) updates of one minor expansion.  Above the cap a
 # ResourceBudgetError is raised instead of silently grinding.
 SUBWORD_BUDGET = 10**6
 

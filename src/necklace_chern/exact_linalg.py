@@ -5,17 +5,18 @@ point.  Determinants (`_det_int`, Bareiss) and Pfaffians (`_pfaffian_int`,
 skew elimination with exact division) run on integer matrices.
 `_pfaffian_int` is the one Pfaffian kernel: `pfaffian` scales a rational
 skew matrix to integers for it, and `words_necklaces.necklace_parity`, the
-production parity engine, feeds it a word's integer Okada matrix.  The
-rational routes, maximal-minor sums of the word matrix and the Pfaffian
-of its Okada matrix, are oracles for that engine and for each other.
+production parity engine, feeds it a word's integer Okada matrix.  Minor
+sums come from one row-by-row Laplace expansion (`_minor_sums`), never from
+enumerating row subsets.  The rational routes, maximal-minor sums of the
+word matrix and the Pfaffian of its Okada matrix, are oracles for that
+engine and for each other.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import lcm, prod
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -41,7 +42,6 @@ __all__ = [
     "matrix_parity",
 ]
 
-Rational = Fraction
 _EntryLike = object  # ints, Fractions and "p/q" strings are accepted
 
 
@@ -258,55 +258,83 @@ def _pfaffian_int(rows: List[List[int]]) -> int:
     return sign * prev
 
 
-def _integer_scaled(m: ExactMatrix) -> Tuple[List[List[int]], Fraction]:
-    """Scale columns to integers; returns (int matrix, maximal-minor scale).
+def _integer_scaled(m: ExactMatrix) -> Tuple[List[List[int]], List[int]]:
+    """Scale columns to integers; returns (int matrix, column factors).
 
-    Every maximal minor of the original equals the integer minor divided by
-    the product of the column scaling factors.
+    A minor of the original on the columns T equals the integer minor
+    divided by the product of the factors of the columns in T.
     """
     scales = [lcm(*(row[j].denominator for row in m.entries)) for j in range(m.cols)]
     table = [
         [x.numerator * (d // x.denominator) for x, d in zip(row, scales)]
         for row in m.entries
     ]
-    return table, Fraction(1, prod(scales))
+    return table, scales
+
+
+def _require_tall(m: ExactMatrix) -> None:
+    if m.rows < m.cols:
+        raise DimensionMismatchError(
+            f"need at least as many rows as columns, got {m.rows}x{m.cols}"
+        )
+
+
+def _minor_sums(table: List[List[int]], cols: int, largest: int) -> Dict[int, int]:
+    """Sums of det over all row sets of size |T| on the columns T, for each
+    set T (a bitmask) of at most ``largest`` columns; O(rows * cols * 2^cols).
+
+    Each row is read once, as the last row of the minors it ends: Laplace
+    expansion along it adds (-1)^(columns of T after c) * x[r][c] *
+    sums[T - {c}] to sums[T], largest T first, so T - {c} is not yet updated.
+    """
+    masks = [0]
+    for t in masks:  # each set grows by the columns after its last one
+        if t.bit_count() < largest:
+            masks.extend(t | 1 << c for c in range(t.bit_length(), cols))
+    sums = dict.fromkeys(masks, 0)
+    sums[0] = 1
+    for row in table:
+        entries = [(c, 1 << c, x) for c, x in enumerate(row) if x]
+        for t in reversed(masks):
+            for c, bit, x in entries:
+                if t & bit:
+                    term = x * sums[t ^ bit]
+                    if (t >> (c + 1)).bit_count() & 1:
+                        term = -term
+                    sums[t] += term
+    return sums
 
 
 def determinant(m: ExactMatrix) -> Fraction:
     """Exact determinant of a square matrix (fraction-free elimination)."""
     if m.rows != m.cols:
         raise DimensionMismatchError(f"determinant of a {m.rows}x{m.cols} matrix")
-    table, scale = _integer_scaled(m)
-    return _det_int(table) * scale
+    table, scales = _integer_scaled(m)
+    return Fraction(_det_int(table), prod(scales))
 
 
 def sum_maximal_minors(m: ExactMatrix) -> Fraction:
     """Sum of the determinants of all maximal (cols x cols) row selections.
 
-    Rows are kept in increasing order inside each selection; the sum does
-    not depend on the enumeration order.
+    Rows are kept in increasing order inside each selection.  One Laplace
+    expansion pass (`_minor_sums`) replaces the C(rows, cols) determinants.
 
     Raises
     ------
     ResourceBudgetError
-        If the C(rows, cols) selections exceed SUBWORD_BUDGET.
+        If the rows * 2^cols (row, column set) updates of the expansion
+        exceed SUBWORD_BUDGET.
     """
-    if m.rows < m.cols:
-        raise DimensionMismatchError(
-            f"need at least as many rows as columns, got {m.rows}x{m.cols}"
-        )
-    count = comb(m.rows, m.cols)
-    if count > SUBWORD_BUDGET:
+    _require_tall(m)
+    updates = m.rows << m.cols
+    if updates > SUBWORD_BUDGET:
         raise ResourceBudgetError(
-            f"{count} maximal minors exceed the enumeration budget "
-            f"{SUBWORD_BUDGET}"
+            f"{m.rows} rows x {1 << m.cols} column sets = {updates} "
+            f"minor-expansion updates exceed the budget {SUBWORD_BUDGET}"
         )
-    table, scale = _integer_scaled(m)
-    k = m.cols
-    total = 0
-    for selection in itertools.combinations(range(m.rows), k):
-        total += _det_int([table[i] for i in selection])
-    return total * scale
+    table, scales = _integer_scaled(m)
+    sums = _minor_sums(table, m.cols, m.cols)
+    return Fraction(sums[(1 << m.cols) - 1], prod(scales))
 
 
 # =========================================================================
@@ -344,32 +372,21 @@ def okada_matrix(x: ExactMatrix) -> SkewMatrix:
     For an input with an odd number of columns k+1 the result has size k+2:
     row and column 0 hold the single-column sums and the remaining block
     holds the column-pair sums.  For an even number of columns the result
-    is the k+1 sized block of column-pair sums alone.
+    is the k+1 sized block of column-pair sums alone (all from `_minor_sums`).
     """
-    if x.rows < x.cols:
-        raise DimensionMismatchError(
-            f"need at least as many rows as columns, got {x.rows}x{x.cols}"
-        )
+    _require_tall(x)
     k1 = x.cols
-    singles = [x.column_sum(j) for j in range(k1)]
-    pairs: Dict[Tuple[int, int], Fraction] = {}
+    table, scales = _integer_scaled(x)
+    sums = _minor_sums(table, k1, 2)
+    border = k1 % 2
+    upper: Dict[Tuple[int, int], Fraction] = {}
     for a in range(k1):
+        if border:
+            upper[(0, a + 1)] = Fraction(sums[1 << a], scales[a])
         for b in range(a + 1, k1):
-            total = Fraction(0)
-            for i, ip in itertools.combinations(range(x.rows), 2):
-                total += (
-                    x.entries[i][a] * x.entries[ip][b]
-                    - x.entries[i][b] * x.entries[ip][a]
-                )
-            pairs[(a, b)] = total
-    if k1 % 2 == 1:
-        upper: Dict[Tuple[int, int], Fraction] = {}
-        for j in range(k1):
-            upper[(0, j + 1)] = singles[j]
-        for (a, b), v in pairs.items():
-            upper[(a + 1, b + 1)] = v
-        return SkewMatrix.from_upper_triangle(k1 + 1, upper)
-    return SkewMatrix.from_upper_triangle(k1, pairs)
+            pair = Fraction(sums[1 << a | 1 << b], scales[a] * scales[b])
+            upper[(a + border, b + border)] = pair
+    return SkewMatrix.from_upper_triangle(k1 + border, upper)
 
 
 def matrix_parity(x: ExactMatrix) -> Fraction:
@@ -383,10 +400,7 @@ def matrix_parity(x: ExactMatrix) -> Fraction:
     ZeroColumnSumError
         When some column sums to zero and the quotient is undefined.
     """
-    if x.rows < x.cols:
-        raise DimensionMismatchError(
-            f"need at least as many rows as columns, got {x.rows}x{x.cols}"
-        )
+    _require_tall(x)
     denominator = Fraction(1)
     for j in range(x.cols):
         s_j = x.column_sum(j)

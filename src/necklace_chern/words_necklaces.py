@@ -19,9 +19,10 @@ the independent combinatorial oracle it is checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple
+from operator import gt
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     SUBWORD_BUDGET,
@@ -48,7 +49,6 @@ __all__ = [
     "rational_parity",
     "necklace_parity",
     "subword_count",
-    "all_surjective_words",
     "words_of_content",
 ]
 
@@ -130,14 +130,16 @@ class Necklace:
 
     The canonical representative is the lexicographically least rotation.
     Use :func:`canonical_necklace` to construct one; the constructor
-    validates minimality.
+    validates minimality, scanning only if not given the ``least`` rotation.
     """
 
     canonical_word: Word
+    least: InitVar[Optional[Tuple[int, ...]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, least: Optional[Tuple[int, ...]]) -> None:
         w = self.canonical_word
-        least = _least_rotation(w.letters)
+        if least is None:
+            least = _least_rotation(w.letters)
         if w.letters != least:
             raise InvalidInputError(
                 f"{w.letters} is not the least rotation {least} of its orbit"
@@ -327,7 +329,7 @@ def boundary_word(w: Word, delta: FaceOperator) -> Tuple[Word, FaceOperator]:
 def canonical_necklace(w: Word) -> Necklace:
     """The orbit of ``w`` under rotation, by its lexicographically least member."""
     least = _least_rotation(w.letters)
-    return Necklace(Word(least, w.alphabet_size))
+    return Necklace(Word(least, w.alphabet_size), least)
 
 
 def subword_count(w: Word) -> int:
@@ -336,17 +338,6 @@ def subword_count(w: Word) -> int:
     for m in w.multiplicities():
         total *= m
     return total
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    """Sign via inversion count; fine at alphabet scale."""
-    inversions = 0
-    for i in range(len(perm)):
-        pi = perm[i]
-        for j in range(i + 1, len(perm)):
-            if pi > perm[j]:
-                inversions += 1
-    return -1 if inversions & 1 else 1
 
 
 def rational_parity(w: Word, budget: int = SUBWORD_BUDGET) -> Fraction:
@@ -364,23 +355,18 @@ def rational_parity(w: Word, budget: int = SUBWORD_BUDGET) -> Fraction:
     positions: Dict[int, List[int]] = {j: [] for j in range(w.alphabet_size)}
     for p, letter in enumerate(w.letters):
         positions[letter].append(p)
-    count = 1
-    for j in range(w.alphabet_size):
-        count *= len(positions[j])
+    count = subword_count(w)
     if count > budget:
         raise ResourceBudgetError(
             f"{count} proper subwords exceed the enumeration budget {budget}"
         )
-    occurrences: List[Tuple[int, ...]] = [
-        tuple(positions[j]) for j in range(w.alphabet_size)
-    ]
-    balance = 0
-    for choice in itertools.product(*occurrences):
-        # choice[j] = position chosen for letter j; the permutation is the
-        # letter sequence in position order, i.e. argsort of the choice.
-        order = sorted(range(w.alphabet_size), key=choice.__getitem__)
-        balance += _permutation_sign(order)
-    return Fraction(balance, count)
+    odd = 0
+    for choice in itertools.product(*positions.values()):
+        # choice[j] = position chosen for letter j; the letters read in
+        # position order are the inverse permutation, so the subword's sign
+        # is the parity of the inversions of the choice tuple itself
+        odd += sum(itertools.starmap(gt, itertools.combinations(choice, 2))) & 1
+    return Fraction(count - 2 * odd, count)
 
 
 def necklace_parity(n: Necklace) -> Fraction:
@@ -423,15 +409,6 @@ def necklace_parity(n: Necklace) -> Fraction:
 # =========================================================================
 # Enumeration helpers
 # =========================================================================
-
-
-def all_surjective_words(length: int, alphabet_size: int) -> Iterator[Word]:
-    """All words of the given length and alphabet, in lexicographic order."""
-    if length < alphabet_size:
-        return
-    for letters in itertools.product(range(alphabet_size), repeat=length):
-        if len(set(letters)) == alphabet_size:
-            yield Word(letters, alphabet_size)
 
 
 def words_of_content(content: Sequence[int]) -> Iterator[Word]:

@@ -9,6 +9,14 @@ from hypothesis import strategies as st
 
 from necklace_chern.words_necklaces import Word
 
+# The word of tests/golden/parity_long.txt, content (30, 30, 30); the CI
+# golden step runs the same letters.
+PARITY_LONG_WORD = (
+    "1 1 1 2 2 0 1 2 0 1 1 0 0 0 1 1 2 0 1 2 1 2 0 1 2 2 2 2 1 2 "
+    "2 0 1 2 1 0 1 1 0 2 0 2 1 0 0 2 0 1 1 0 0 1 0 2 1 1 0 1 2 1 "
+    "0 0 0 0 2 2 0 1 0 1 0 0 0 1 1 2 2 2 2 1 2 2 2 0 0 2 2 2 1 0"
+)
+
 
 @st.composite
 def surjective_words(draw, max_alphabet: int = 5, max_length: int = 10) -> Word:

@@ -51,7 +51,6 @@ from necklace_chern.serialize import (
 )
 from necklace_chern.words_necklaces import (
     Word,
-    all_surjective_words,
     boundary_word,
     canonical_necklace,
     cyclic_shift,
@@ -62,6 +61,8 @@ from necklace_chern.words_necklaces import (
 )
 
 import math
+
+from oracles import all_surjective_words
 
 
 def report(ok: bool, label: str) -> None:

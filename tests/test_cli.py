@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface: output formats,
 exit codes, and determinism."""
 
+import itertools
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +20,7 @@ from necklace_chern.cli import main
 from necklace_chern.complexes import LocallyOrderedComplex
 from necklace_chern.serialize import (
     decoration_to_data,
+    load_decoration,
     packaged_data,
     save_bundle,
     save_complex,
@@ -25,7 +28,7 @@ from necklace_chern.serialize import (
     trivial_bundle,
 )
 
-from conftest import json_values, mutated_json
+from conftest import PARITY_LONG_WORD, json_values, mutated_json
 
 DATA = Path(necklace_chern.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,8 +87,9 @@ class TestParity:
         assert out.startswith("input error:")
 
     def test_minor_sum_budget_exits_three(self):
-        # C(33, 11) ~ 1.9e8 maximal minors; the 3**11 subwords fit the budget
-        letters = [str(i % 11) for i in range(33)]
+        # 17 rows x 2**17 column sets of minor expansion exceed the budget;
+        # the single subword fits it
+        letters = [str(i) for i in range(17)]
         proc = subprocess.run(
             [sys.executable, "-m", "necklace_chern.cli", "parity", *letters],
             capture_output=True,
@@ -93,8 +97,22 @@ class TestParity:
             timeout=10,
         )
         assert proc.returncode == 3
-        assert "193536720 maximal minors exceed" in proc.stdout
+        assert (
+            "17 rows x 131072 column sets = 2228224 minor-expansion updates "
+            "exceed the budget 1000000"
+        ) in proc.stdout
         assert "Traceback" not in proc.stderr
+
+    def test_many_letters_within_the_expansion_budget(self, capsys):
+        # C(33, 11) ~ 1.9e8 maximal minors, but 33 x 2**11 expansion updates
+        letters = [str(i % 11) for i in range(33)]
+        code, out = run(capsys, "parity", *letters, "--no-timing")
+        assert code == 0
+        assert out.splitlines() == [
+            "brute force P = 1/243",
+            "minor sum P = 1/243",
+            "P = 1/243",
+        ]
 
     def test_pfaffian_route_disagreement_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -342,6 +360,31 @@ class TestExtractAndChern:
         assert proc.stdout.splitlines()[-1].startswith("input error: cycle file")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("name, c1", [("hopf", 1), ("trivial", 0)])
+    def test_cycle_file_must_be_a_cycle(self, capsys, tmp_path, name, c1):
+        dec = GOLDEN / f"{name}_decoration.json"
+        fc = fundamental_cycle(load_decoration(dec).base).coefficients
+        cycle = tmp_path / "cycle.json"
+        passed = []
+        for signs in itertools.product((1, -1), repeat=len(fc)):
+            save_json({"v": 1, "coefficients": list(signs)}, cycle)
+            code, out = run(
+                capsys, "chern", "--decoration", str(dec), "--cycle", str(cycle),
+                "--no-timing",
+            )
+            if code == 0:
+                passed.append(signs)
+                sign = 1 if signs == fc else -1
+                assert out.splitlines()[-1] == f"c1 = {sign * c1}"
+            else:
+                assert code == 2
+                assert re.fullmatch(
+                    r"input error: cycle file coefficients are not a cycle: "
+                    r"their boundary is -?2 on edge \(\d, \d\)",
+                    out.splitlines()[-1],
+                )
+        assert sorted(passed) == sorted([fc, tuple(-c for c in fc)])
+
     def test_higher_power_prints_cochain_only(self, capsys, tmp_path):
         bundle_path = tmp_path / "trivial.json"
         save_bundle(product_bundle(tetra_boundary(), 3), bundle_path)
@@ -491,6 +534,11 @@ class TestGoldenCorpus:
             )
             assert code == 0
             assert out.encode() == (GOLDEN / f"{name}_chern_h{h}.txt").read_bytes()
+
+    def test_parity_long_word(self, capsys):
+        code, out = run(capsys, "parity", *PARITY_LONG_WORD.split(), "--no-timing")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "parity_long.txt").read_bytes()
 
     def test_range(self, capsys):
         base = DATA / "boundary_tetrahedron.json"

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import necklace_chern
+from conftest import PARITY_LONG_WORD
 
 DATA = Path(necklace_chern.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,6 +46,7 @@ BUNDLES = DECORATIONS | {"necklace_chern.bundles"}
 CASES = {
     "import-only": ([], set(), None),
     "parity": (["parity", "0", "1", "2", "0"], WORDS, None),
+    "parity-long": (["parity", *PARITY_LONG_WORD.split()], WORDS, "parity_long.txt"),
     "extract": (
         ["extract", "--bundle", str(DATA / "hopf_bundle.json"),
          "--out", "hopf_decoration.json"],

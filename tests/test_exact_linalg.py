@@ -7,10 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import necklace_chern.exact_linalg as exact_linalg
 from necklace_chern.errors import (
+    SUBWORD_BUDGET,
     DimensionMismatchError,
     InvalidInputError,
     OddSizeError,
+    ResourceBudgetError,
     ZeroColumnSumError,
 )
 from necklace_chern.exact_linalg import (
@@ -23,13 +26,15 @@ from necklace_chern.exact_linalg import (
     pfaffian,
     sum_maximal_minors,
 )
-from necklace_chern.words_necklaces import all_surjective_words, rational_parity, word
+from necklace_chern.words_necklaces import rational_parity, word
 
 from conftest import surjective_words
 from oracles import (
+    all_surjective_words,
     apply_as_operator,
     cofactor_determinant,
     column_subset_minor_sum,
+    enumerated_minor_sum,
     word_matrix,
 )
 
@@ -263,14 +268,56 @@ def test_minor_sum_requires_enough_rows():
 def test_minor_sum_oracle_brute_force():
     rng = random.Random(3)
     for _ in range(40):
-        rows = rng.randint(2, 6)
-        cols = rng.randint(1, min(rows, 4))
+        rows = rng.randint(2, 8)
+        cols = rng.randint(1, min(rows, 6))
         m = random_int_matrix(rng, rows, cols)
         expected = sum(
             cofactor_determinant(m.submatrix(sel))
             for sel in itertools.combinations(range(rows), cols)
         )
         assert sum_maximal_minors(m) == expected
+
+
+def random_rational_matrix(rng, rows, cols):
+    """Small signed fractions, with some rows and columns zeroed and some
+    rows repeated: the cases a row-by-row expansion could mishandle."""
+    table = [
+        [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for _ in range(rng.randint(0, 2)):
+        shape = rng.randrange(3)
+        if shape == 0:
+            table[rng.randrange(rows)] = [F(0)] * cols
+        elif shape == 1:
+            c = rng.randrange(cols)
+            for row in table:
+                row[c] = F(0)
+        else:
+            table[rng.randrange(rows)] = list(table[rng.randrange(rows)])
+    return ExactMatrix.from_rows(table)
+
+
+def test_minor_sum_expansion_matches_the_enumeration():
+    rng = random.Random(71)
+    for cols in range(1, 7):
+        for rows in range(cols, 11):
+            for _ in range(3):
+                m = random_rational_matrix(rng, rows, cols)
+                assert sum_maximal_minors(m) == enumerated_minor_sum(m), m.entries
+
+
+def test_minor_sum_budget_counts_expansion_updates():
+    cols = 10
+    rows = SUBWORD_BUDGET // 2**cols + 1
+    assert rows * 2**cols > SUBWORD_BUDGET
+    with pytest.raises(ResourceBudgetError, match=f"= {rows * 2**cols} minor-expansion"):
+        sum_maximal_minors(ExactMatrix.identity(cols).submatrix([0] * rows))
+
+
+def test_exact_linalg_enumerates_no_subsets():
+    assert not hasattr(exact_linalg, "itertools")
+    assert not hasattr(exact_linalg, "comb")
 
 
 def test_column_subset_minor_sum():

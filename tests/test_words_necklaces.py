@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import necklace_chern.words_necklaces as words_necklaces
 from necklace_chern.errors import (
     EvenAlphabetError,
     InvalidInputError,
@@ -19,8 +20,8 @@ from necklace_chern.exact_linalg import okada_matrix, pfaffian
 from necklace_chern.words_necklaces import (
     SUBWORD_BUDGET,
     FaceOperator,
+    Necklace,
     Word,
-    all_surjective_words,
     boundary_word,
     canonical_necklace,
     compose_faces,
@@ -33,7 +34,11 @@ from necklace_chern.words_necklaces import (
 )
 
 from conftest import odd_alphabet_words, surjective_words
-from oracles import word_matrix
+from oracles import (
+    all_surjective_words,
+    sorted_choice_parity,
+    word_matrix,
+)
 
 
 # ---------------------------------------------------------------- words
@@ -191,7 +196,31 @@ def test_least_rotation_matches_the_minimum_over_rotations():
                 Necklace(w)
 
 
+def test_canonical_necklace_scans_the_word_once(monkeypatch):
+    scans = []
+
+    def counted(letters):
+        scans.append(letters)
+        return least_rotation(letters)
+
+    least_rotation = words_necklaces._least_rotation
+    monkeypatch.setattr(words_necklaces, "_least_rotation", counted)
+    n = canonical_necklace(word([2, 1, 0, 1, 2, 0]))
+    assert n.canonical_word.letters == (0, 1, 2, 0, 2, 1)
+    assert scans == [(2, 1, 0, 1, 2, 0)]
+    # the constructor alone still scans, and rejects a non-least rotation
+    with pytest.raises(InvalidInputError):
+        Necklace(word([2, 1, 0, 1, 2, 0]))
+    assert len(scans) == 2
+
+
 # ------------------------------------------------------------- parity
+
+
+@given(surjective_words(max_alphabet=6, max_length=12))
+@settings(max_examples=200)
+def test_rational_parity_matches_sorting_each_subword(w):
+    assert rational_parity(w) == sorted_choice_parity(w)
 
 
 def test_rational_parity_examples():
