@@ -11,10 +11,10 @@ word. Extraction turns the whole bundle into a decoration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._frozen import Frozen
 from .complexes import (
     LocallyOrderedComplex,
     Simplex,
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BundleMap:
+class BundleMap(Frozen):
     """A simplicial map total -> base with directed fiber cycles.
 
     ``vertex_map[t]`` is the base vertex under total vertex t;
@@ -54,12 +53,24 @@ class BundleMap:
     cyclic order, each consecutive pair a directed arc.
     """
 
+    # no __slots__: cached_property needs an instance __dict__
+    _fields = ("total", "base", "vertex_map", "fiber_orientation")
     total: LocallyOrderedComplex
     base: LocallyOrderedComplex
     vertex_map: Tuple[int, ...]
     fiber_orientation: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        total: LocallyOrderedComplex,
+        base: LocallyOrderedComplex,
+        vertex_map: Tuple[int, ...],
+        fiber_orientation: Tuple[Tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vertex_map", vertex_map)
+        object.__setattr__(self, "fiber_orientation", fiber_orientation)
         if len(self.vertex_map) != self.total.vertex_count:
             raise InvalidInputError(
                 "vertex_map length must equal the total vertex count"
@@ -116,8 +127,7 @@ class BundleMap:
         return {U: _view_over(self, U) for U in self.base.simplices}
 
 
-@dataclass(frozen=True)
-class ElementaryBundleView:
+class ElementaryBundleView(Frozen):
     """The section cycle of a bundle over one base simplex.
 
     ``zero_sections[q]`` and ``one_sections[q]`` alternate around the
@@ -127,10 +137,23 @@ class ElementaryBundleView:
     collapsed edge. The cycle is anchored at the least zero-section.
     """
 
+    __slots__ = _fields = ("base_simplex", "zero_sections", "one_sections", "letters")
     base_simplex: Simplex
     zero_sections: Tuple[Simplex, ...]
     one_sections: Tuple[Simplex, ...]
     letters: Tuple[int, ...]
+
+    def __init__(
+        self,
+        base_simplex: Simplex,
+        zero_sections: Tuple[Simplex, ...],
+        one_sections: Tuple[Simplex, ...],
+        letters: Tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "base_simplex", base_simplex)
+        object.__setattr__(self, "zero_sections", zero_sections)
+        object.__setattr__(self, "one_sections", one_sections)
+        object.__setattr__(self, "letters", letters)
 
     @property
     def cycle_order(self) -> Tuple[Simplex, ...]:
@@ -141,11 +164,14 @@ class ElementaryBundleView:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SectionChoice:
+class SectionChoice(Frozen):
     """One designated zero-section per base simplex, indexed by simplex id."""
 
+    __slots__ = _fields = ("sections",)
     sections: Tuple[Simplex, ...]
+
+    def __init__(self, sections: Tuple[Simplex, ...]) -> None:
+        object.__setattr__(self, "sections", sections)
 
 
 def _fiber_issues(b: BundleMap) -> List[ValidationIssue]:

@@ -10,11 +10,11 @@ realizable over a given surface within a word-length bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ._frozen import Frozen
 from .complexes import LocallyOrderedComplex, Simplex, simplex_face
 from .decorations import (
     Decoration,
@@ -54,15 +54,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalCochain:
+class RationalCochain(Frozen):
     """Exact rational values on every base simplex of one dimension."""
 
+    __slots__ = _fields = ("base", "degree", "values")
     base: LocallyOrderedComplex
     degree: int
     values: Tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, base: LocallyOrderedComplex, degree: int, values: Tuple[Fraction, ...]
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "values", values)
         expected = len(self.base.simplices_of_dimension(self.degree))
         if len(self.values) != expected:
             raise InvalidInputError(
@@ -85,14 +90,18 @@ class RationalCochain:
         return all(v == 0 for v in self.values)
 
 
-@dataclass(frozen=True)
-class FundamentalCycle:
+class FundamentalCycle(Frozen):
     """A coherent choice of signs, one per triangle of a closed surface."""
 
+    __slots__ = _fields = ("base", "coefficients")
     base: LocallyOrderedComplex
     coefficients: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, base: LocallyOrderedComplex, coefficients: Tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coefficients", coefficients)
         triangles = self.base.simplices_of_dimension(2)
         if len(self.coefficients) != len(triangles):
             raise InvalidInputError("one coefficient per triangle required")

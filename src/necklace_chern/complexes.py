@@ -10,12 +10,12 @@ used in file formats are indices into that list.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, filterfalse, groupby, islice
 from operator import itemgetter, lt
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
+from ._frozen import Frozen
 from .errors import InvalidInputError
 
 __all__ = [
@@ -44,8 +44,7 @@ def _facet_getters(d: int) -> Iterator[Callable[[Simplex], Simplex]]:
     yield itemgetter(slice(d))
 
 
-@dataclass(frozen=True)
-class LocallyOrderedComplex:
+class LocallyOrderedComplex(Frozen):
     """A finite simplicial complex with the increasing-label local order.
 
     ``simplices`` must be closed under faces, duplicate-free, and listed in
@@ -53,10 +52,14 @@ class LocallyOrderedComplex:
     simplices.
     """
 
+    # no __slots__: cached_property needs an instance __dict__
+    _fields = ("vertex_count", "simplices")
     vertex_count: int
     simplices: Tuple[Simplex, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertex_count: int, simplices: Tuple[Simplex, ...]) -> None:
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "simplices", simplices)
         n = self.vertex_count
         # False falls through to the message for counts below 1
         if not isinstance(n, int) or n is True:
@@ -185,22 +188,32 @@ class LocallyOrderedComplex:
             raise InvalidInputError(f"{tuple(s)} is not a simplex of the complex")
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(Frozen):
     """One violated invariant, with the offending simplex when there is one."""
 
+    __slots__ = _fields = ("code", "detail", "simplex")
     code: str
     detail: str
-    simplex: Optional[Simplex] = None
+    simplex: Optional[Simplex]
+
+    def __init__(
+        self, code: str, detail: str, simplex: Optional[Simplex] = None
+    ) -> None:
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "simplex", simplex)
 
     def __str__(self) -> str:
         where = f" at {self.simplex}" if self.simplex is not None else ""
         return f"[{self.code}]{where}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Frozen):
+    __slots__ = _fields = ("issues",)
     issues: Tuple[ValidationIssue, ...]
+
+    def __init__(self, issues: Tuple[ValidationIssue, ...]) -> None:
+        object.__setattr__(self, "issues", issues)
 
     @property
     def ok(self) -> bool:

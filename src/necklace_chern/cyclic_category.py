@@ -11,9 +11,9 @@ induced composition of cyclic word morphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
+from ._frozen import Frozen
 from .errors import InvalidInputError, MorphismMismatchError
 from .words_necklaces import (
     FaceOperator,
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DegeneracyMap:
+class DegeneracyMap(Frozen):
     """A surjection [m] -> [k] that is monotone up to a cyclic rotation.
 
     Stored as an explicit value table.  The constructor checks surjectivity
@@ -42,10 +41,13 @@ class DegeneracyMap:
     category.
     """
 
+    __slots__ = _fields = ("values", "codomain_size")
     values: Tuple[int, ...]
     codomain_size: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, values: Tuple[int, ...], codomain_size: int) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "codomain_size", codomain_size)
         if not self.values:
             raise InvalidInputError("degeneracy map needs a nonempty value table")
         if set(self.values) != set(range(self.codomain_size)):
@@ -70,8 +72,7 @@ class DegeneracyMap:
         return self.values[i]
 
 
-@dataclass(frozen=True)
-class CyclicMorphismDecomposition:
+class CyclicMorphismDecomposition(Frozen):
     """A set map presented as a cyclic rotation followed by a monotone face.
 
     The composite ``face(tau^shift(x)) = face((x - shift) mod domain)``
@@ -79,8 +80,13 @@ class CyclicMorphismDecomposition:
     Iterating yields ``(face, shift)`` so results unpack like a tuple.
     """
 
+    __slots__ = _fields = ("face", "shift")
     face: FaceOperator
     shift: int
+
+    def __init__(self, face: FaceOperator, shift: int) -> None:
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "shift", shift)
 
     def __iter__(self):
         yield self.face

@@ -14,10 +14,10 @@ inclusions, and along the cyclic gauge rotations of the fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
+from ._frozen import Frozen
 from .errors import DimensionMismatchError, InvalidInputError
 from .exact_linalg import ExactMatrix, _as_fraction
 from .words_necklaces import FaceOperator
@@ -46,18 +46,22 @@ DX = -1
 Monomial = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PolyCoefficient:
+class PolyCoefficient(Frozen):
     """Sparse polynomial in the reduced barycentric variables l_0 .. l_{arity-1}.
 
     ``terms`` maps exponent tuples of length ``arity`` to nonzero rational
     coefficients; the zero polynomial has empty support.
     """
 
+    __slots__ = _fields = ("arity", "terms")
     arity: int
-    terms: Dict[Monomial, Fraction] = field(default_factory=dict)
+    terms: Dict[Monomial, Fraction]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, arity: int, terms: Optional[Dict[Monomial, Fraction]] = None
+    ) -> None:
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "terms", {} if terms is None else terms)
         if self.arity < 0:
             raise InvalidInputError("polynomial arity must be nonnegative")
         cleaned = {}
@@ -221,8 +225,7 @@ def _merge_sign(left: Tuple[int, ...], right: Tuple[int, ...]) -> Tuple[Tuple[in
     return tuple(merged), sign
 
 
-@dataclass(frozen=True)
-class ExteriorForm:
+class ExteriorForm(Frozen):
     """Homogeneous exterior form with polynomial coefficients.
 
     Keys of ``terms`` are strictly increasing tuples of differential indices,
@@ -230,11 +233,20 @@ class ExteriorForm:
     reduced base differentials dl_i.  All keys have length ``degree``.
     """
 
+    __slots__ = _fields = ("arity", "degree", "terms")
     arity: int
     degree: int
-    terms: Dict[Tuple[int, ...], PolyCoefficient] = field(default_factory=dict)
+    terms: Dict[Tuple[int, ...], PolyCoefficient]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        arity: int,
+        degree: int,
+        terms: Optional[Dict[Tuple[int, ...], PolyCoefficient]] = None,
+    ) -> None:
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", {} if terms is None else terms)
         if self.arity < 0 or self.degree < 0:
             raise InvalidInputError("arity and degree must be nonnegative")
         cleaned = {}
@@ -348,8 +360,7 @@ class ExteriorForm:
         return " + ".join(pieces).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class AffineSimplexMap:
+class AffineSimplexMap(Frozen):
     """Affine simplex map in barycentric coordinates.
 
     The matrix is column-stochastic: entries nonnegative, each column summing
@@ -357,9 +368,11 @@ class AffineSimplexMap:
     the n-simplex; normalized word matrices qualify.
     """
 
+    __slots__ = _fields = ("matrix",)
     matrix: ExactMatrix
 
-    def __post_init__(self) -> None:
+    def __init__(self, matrix: ExactMatrix) -> None:
+        object.__setattr__(self, "matrix", matrix)
         for i in range(self.matrix.rows):
             for j in range(self.matrix.cols):
                 if self.matrix.entry(i, j) < 0:

@@ -11,12 +11,13 @@ two-step face chain satisfies the simplicial composition identity.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import (
-    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Union,
 )
 
+from ._frozen import Frozen
 from .complexes import (
     LocallyOrderedComplex,
     Simplex,
@@ -71,19 +72,27 @@ def candidate_budget(override: Optional[int] = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(Frozen):
     """Words and face shifts over a locally ordered base complex.
 
     ``words[i]`` is the word of the simplex with id i; ``shifts[i]`` has one
     entry per face of that simplex (empty for vertices).
     """
 
+    __slots__ = _fields = ("base", "words", "shifts")
     base: LocallyOrderedComplex
     words: Tuple[Word, ...]
     shifts: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        base: LocallyOrderedComplex,
+        words: Tuple[Word, ...],
+        shifts: Tuple[Tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "shifts", shifts)
         count = len(self.base.simplices)
         if len(self.words) != count:
             raise InvalidInputError(
@@ -352,6 +361,35 @@ class _Budget:
             )
 
 
+def _depth_first(
+    size: int,
+    candidates: Callable[[int], Iterable],
+    accept: Callable[[int, object], bool],
+) -> Iterator[None]:
+    """Yield once per complete assignment of positions 0..size-1, depth
+    first on an explicit stack, so deep searches need no recursion.
+
+    ``candidates(pos)`` gives the choices for a position, tried in order;
+    ``accept(pos, c)`` records choice c for the position and tells whether
+    the search descends with it.  Each yield sees the assignment that
+    ``accept`` has recorded.
+    """
+    if size == 0:
+        yield
+        return
+    stack = [iter(candidates(0))]
+    while stack:
+        pos = len(stack) - 1
+        # any() stops at the first accepted choice, so the iterator resumes
+        # after it when the search comes back to this position
+        if not any(accept(pos, c) for c in stack[-1]):
+            stack.pop()
+        elif pos + 1 == size:
+            yield
+        else:
+            stack.append(iter(candidates(pos + 1)))
+
+
 def _face_slots(base: LocallyOrderedComplex) -> List[Tuple[int, int]]:
     """Every (simplex id, face) slot that carries a shift, in canonical
     order."""
@@ -409,22 +447,18 @@ def _shift_decorations(
             ok = holds[key] = _face_pair_commutes(morphism, s, j1, j2)
         return ok
 
-    def search(pos: int) -> Iterator[Decoration]:
-        if pos == len(slots):
-            per_face = tuple(
-                tuple(shifts[(i, j)] for j in range(len(s)) if len(s) > 1)
-                for i, s in enumerate(base.simplices)
-            )
-            by_id = tuple(words[i] for i in range(len(per_face)))
-            yield Decoration(base, by_id, per_face)
-            return
-        for t in domains[pos]:
-            tally.spend()
-            shifts[slots[pos]] = t
-            if all(commutes(*check) for check in checks_at[pos]):
-                yield from search(pos + 1)
+    def accept(pos: int, t: int) -> bool:
+        tally.spend()
+        shifts[slots[pos]] = t
+        return all(commutes(*check) for check in checks_at[pos])
 
-    yield from search(0)
+    for _ in _depth_first(len(slots), domains.__getitem__, accept):
+        per_face = tuple(
+            tuple(shifts[(i, j)] for j in range(len(s)) if len(s) > 1)
+            for i, s in enumerate(base.simplices)
+        )
+        by_id = tuple(words[i] for i in range(len(per_face)))
+        yield Decoration(base, by_id, per_face)
 
 
 def _multiplicity_vectors(
@@ -438,21 +472,21 @@ def _multiplicity_vectors(
     def fits() -> bool:
         return all(sum(counts[v] for v in s) <= max_len for s in maximal)
 
-    def rec(v: int) -> Iterator[Tuple[int, ...]]:
-        if v == base.vertex_count:
-            yield tuple(counts)
+    if not fits():
+        return
+    # an odometer: grow the last vertex that still fits, resetting the ones
+    # after it to 1
+    while True:
+        yield tuple(counts)
+        v = base.vertex_count - 1
+        while v >= 0:
+            counts[v] += 1
+            if fits():
+                break
+            counts[v] = 1
+            v -= 1
+        if v < 0:
             return
-        value = 1
-        while True:
-            counts[v] = value
-            if not fits():
-                counts[v] = 1
-                return
-            yield from rec(v + 1)
-            value += 1
-
-    if fits():
-        yield from rec(0)
 
 
 def enumerate_decorations(
@@ -483,29 +517,20 @@ def enumerate_decorations(
     words: List[Optional[Word]] = [None] * count
     slots = _face_slots(base)
 
-    def assign_words(i: int, content_of) -> Iterator[Decoration]:
-        if i == count:
-            # canonical order: each face pair (j1, j2) of s is checked as
-            # soon as (s, j2) is set
-            yield from _shift_decorations(base, words, slots, tally)
-            return
+    def accept(i: int, w: Word) -> bool:
+        tally.spend()
         simplex = base.simplices[i]
-        for w in words_of_content(content_of(simplex)):
-            tally.spend()
-            if len(simplex) > 1:
-                ok = True
-                for j in range(len(simplex)):
-                    child_word = words[base.simplex_id(simplex_face(simplex, j))]
-                    if not _valid_shifts(w, j, child_word):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            words[i] = w
-            yield from assign_words(i + 1, content_of)
-        words[i] = None
+        if len(simplex) > 1:
+            for j in range(len(simplex)):
+                child_word = words[base.simplex_id(simplex_face(simplex, j))]
+                if not _valid_shifts(w, j, child_word):
+                    return False
+        words[i] = w
+        return True
 
     for fiber_lengths in _multiplicity_vectors(base, max_len):
-        yield from assign_words(
-            0, lambda s: tuple(fiber_lengths[v] for v in s)
-        )
+        contents = [tuple(fiber_lengths[v] for v in s) for s in base.simplices]
+        # words per simplex in id order, then the shifts; canonical order
+        # checks each face pair (j1, j2) of s as soon as (s, j2) is set
+        for _ in _depth_first(count, lambda i: words_of_content(contents[i]), accept):
+            yield from _shift_decorations(base, words, slots, tally)

@@ -14,11 +14,11 @@ engine and for each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from ._frozen import Frozen
 from .errors import (
     SUBWORD_BUDGET,
     DimensionMismatchError,
@@ -53,13 +53,14 @@ def _as_fraction(value) -> Fraction:
     raise InvalidInputError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Frozen):
     """A rectangular matrix of arbitrary-precision rationals."""
 
+    __slots__ = _fields = ("entries",)
     entries: Tuple[Tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Tuple[Tuple[Fraction, ...], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
         if not self.entries:
             raise InvalidInputError("matrix needs at least one row")
         width = len(self.entries[0])
@@ -112,17 +113,18 @@ class ExactMatrix:
         return ExactMatrix(tuple(zip(*self.entries)))
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
+class SkewMatrix(Frozen):
     """A square matrix with exact antisymmetry and zero diagonal.
 
     Pfaffians exist for even sizes only; odd sizes may be constructed (the
     Pfaffian then reports the failure) but antisymmetry is always enforced.
     """
 
+    __slots__ = _fields = ("entries",)
     entries: Tuple[Tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Tuple[Tuple[Fraction, ...], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
         n = len(self.entries)
         for row in self.entries:
             if len(row) != n:

@@ -19,11 +19,11 @@ the independent combinatorial oracle it is checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from operator import gt
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ._frozen import Frozen
 from .errors import (
     SUBWORD_BUDGET,
     EvenAlphabetError,
@@ -57,8 +57,7 @@ __all__ = [
 # =========================================================================
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A surjective letter sequence [n] -> [k].
 
     Attributes
@@ -69,10 +68,13 @@ class Word:
         k+1.  Surjectivity forces ``alphabet_size == max(letters) + 1``.
     """
 
+    __slots__ = _fields = ("letters", "alphabet_size")
     letters: Tuple[int, ...]
     alphabet_size: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, letters: Tuple[int, ...], alphabet_size: int) -> None:
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
         if not self.letters:
             raise InvalidInputError("a word must have at least one letter")
         if self.alphabet_size < 1:
@@ -89,6 +91,20 @@ class Word:
         if len(seen) != self.alphabet_size:
             missing = sorted(set(range(self.alphabet_size)) - seen)
             raise InvalidInputError(f"word is not surjective, letters {missing} missing")
+
+    # written out, not the generic `Frozen` ones: the range search hashes
+    # and compares words, necklaces and faces in its inner loops, and the
+    # generic versions made it about a fifth slower
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.letters == other.letters
+            and self.alphabet_size == other.alphabet_size
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.alphabet_size))
 
     @property
     def length(self) -> int:
@@ -124,19 +140,22 @@ def word(letters: Sequence[int]) -> Word:
     return Word(letters, max(letters) + 1)
 
 
-@dataclass(frozen=True)
-class Necklace:
+class Necklace(Frozen):
     """The cyclic orbit of a word, stored by its canonical representative.
 
     The canonical representative is the lexicographically least rotation.
     Use :func:`canonical_necklace` to construct one; the constructor
-    validates minimality, scanning only if not given the ``least`` rotation.
+    validates minimality, scanning only if not given the ``least`` rotation,
+    which is not stored.
     """
 
+    __slots__ = _fields = ("canonical_word",)
     canonical_word: Word
-    least: InitVar[Optional[Tuple[int, ...]]] = None
 
-    def __post_init__(self, least: Optional[Tuple[int, ...]]) -> None:
+    def __init__(
+        self, canonical_word: Word, least: Optional[Tuple[int, ...]] = None
+    ) -> None:
+        object.__setattr__(self, "canonical_word", canonical_word)
         w = self.canonical_word
         if least is None:
             least = _least_rotation(w.letters)
@@ -145,23 +164,33 @@ class Necklace:
                 f"{w.letters} is not the least rotation {least} of its orbit"
             )
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.canonical_word == other.canonical_word
+
+    def __hash__(self) -> int:
+        return hash((self.canonical_word,))
+
     @property
     def alphabet_size(self) -> int:
         return self.canonical_word.alphabet_size
 
 
-@dataclass(frozen=True)
-class FaceOperator:
+class FaceOperator(Frozen):
     """A strictly increasing injection [m] -> [k], given by its image.
 
     Face operators act on alphabets (deleting letters) and on position sets
     (recording which positions survive a boundary).
     """
 
+    __slots__ = _fields = ("image", "codomain_size")
     image: Tuple[int, ...]
     codomain_size: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, image: Tuple[int, ...], codomain_size: int) -> None:
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "codomain_size", codomain_size)
         if not self.image:
             raise InvalidInputError("face operator needs a nonempty image")
         prev = -1
@@ -175,6 +204,14 @@ class FaceOperator:
             raise InvalidInputError(
                 f"face image {self.image} exceeds codomain 0..{self.codomain_size - 1}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.image == other.image and self.codomain_size == other.codomain_size
+
+    def __hash__(self) -> int:
+        return hash((self.image, self.codomain_size))
 
     @property
     def domain_size(self) -> int:
@@ -208,8 +245,7 @@ def compose_faces(outer: FaceOperator, inner: FaceOperator) -> FaceOperator:
     return FaceOperator(tuple(outer.image[v] for v in inner.image), outer.codomain_size)
 
 
-@dataclass(frozen=True)
-class WordMorphism:
+class WordMorphism(Frozen):
     """A cyclic morphism of words: rotate the domain, then include monotonely.
 
     The underlying position map is ``f(x) = induced_domain_face((x - shift)
@@ -220,13 +256,32 @@ class WordMorphism:
     word whose letters lie in the image of the alphabet face.
     """
 
+    __slots__ = _fields = (
+        "shift",
+        "alphabet_face",
+        "induced_domain_face",
+        "domain_word",
+        "codomain_word",
+    )
     shift: int
     alphabet_face: FaceOperator
     induced_domain_face: FaceOperator
     domain_word: Word
     codomain_word: Word
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        shift: int,
+        alphabet_face: FaceOperator,
+        induced_domain_face: FaceOperator,
+        domain_word: Word,
+        codomain_word: Word,
+    ) -> None:
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "alphabet_face", alphabet_face)
+        object.__setattr__(self, "induced_domain_face", induced_domain_face)
+        object.__setattr__(self, "domain_word", domain_word)
+        object.__setattr__(self, "codomain_word", codomain_word)
         a, b = self.domain_word, self.codomain_word
         if self.alphabet_face.domain_size != a.alphabet_size:
             raise InvalidInputError("alphabet face domain does not match the domain word")
@@ -329,7 +384,12 @@ def boundary_word(w: Word, delta: FaceOperator) -> Tuple[Word, FaceOperator]:
 def canonical_necklace(w: Word) -> Necklace:
     """The orbit of ``w`` under rotation, by its lexicographically least member."""
     least = _least_rotation(w.letters)
-    return Necklace(Word(least, w.alphabet_size), least)
+    # a rotation of a valid word is valid: store it without Word's checks,
+    # so only minimality is left to check
+    rotated = object.__new__(Word)
+    object.__setattr__(rotated, "letters", least)
+    object.__setattr__(rotated, "alphabet_size", w.alphabet_size)
+    return Necklace(rotated, least)
 
 
 def subword_count(w: Word) -> int:

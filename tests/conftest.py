@@ -7,6 +7,7 @@ import random
 
 from hypothesis import strategies as st
 
+from necklace_chern.complexes import LocallyOrderedComplex
 from necklace_chern.words_necklaces import Word
 
 # The word of tests/golden/parity_long.txt, content (30, 30, 30); the CI
@@ -34,6 +35,17 @@ def surjective_words(draw, max_alphabet: int = 5, max_length: int = 10) -> Word:
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     random.Random(seed).shuffle(letters)
     return Word(tuple(letters), alphabet)
+
+
+def grid_torus(n: int) -> LocallyOrderedComplex:
+    """The n x n grid torus, each square cut along one diagonal."""
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * n + j, ((i + 1) % n) * n + j
+            c, d = ((i + 1) % n) * n + (j + 1) % n, i * n + (j + 1) % n
+            tris += [tuple(sorted((a, b, c))), tuple(sorted((a, d, c)))]
+    return LocallyOrderedComplex.from_maximal(n * n, tris)
 
 
 @st.composite

@@ -5,7 +5,9 @@ In-process tests cannot see this: by the time they run, earlier tests have
 imported every module, so a missing import or an import-order fault would
 pass.  Here every case starts a new interpreter without bytecode caching,
 runs one command through ``necklace_chern.cli.main``, and reports the
-``necklace_chern`` modules left in ``sys.modules``.
+``necklace_chern`` modules left in ``sys.modules``, and ``dataclasses`` or
+``inspect`` if either was loaded: no command needs them, and importing
+them costs a cold process more than most commands compute.
 """
 
 import os
@@ -25,13 +27,14 @@ _PROBE = """\
 import sys
 import necklace_chern.cli
 code = necklace_chern.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(*sorted(m for m in sys.modules if m.split(".")[0] == "necklace_chern"),
+watched = ("necklace_chern", "dataclasses", "inspect")
+print(*sorted(m for m in sys.modules if m.split(".")[0] in watched),
       file=sys.stderr)
 sys.exit(code)
 """
 
 CLI = {"necklace_chern", "necklace_chern.cli", "necklace_chern.errors"}
-LINALG = {"necklace_chern.exact_linalg"}
+LINALG = {"necklace_chern._frozen", "necklace_chern.exact_linalg"}
 WORDS = LINALG | {"necklace_chern.words_necklaces"}
 DECORATIONS = WORDS | {
     "necklace_chern.complexes",
@@ -100,7 +103,9 @@ def test_fresh_process_loads_only_what_the_command_uses(tmp_path, case):
         argv = argv + ["--no-timing"]
     proc = cold_run(argv, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert set(proc.stderr.split()) == CLI | extra
+    loaded = set(proc.stderr.split())
+    assert not loaded & {"dataclasses", "inspect"}
+    assert loaded == CLI | extra
     if golden is not None:
         assert proc.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
 

@@ -24,7 +24,7 @@ from necklace_chern.serialize import (
 )
 from necklace_chern.words_necklaces import Word
 
-from conftest import json_scalars, json_values
+from conftest import grid_torus, json_scalars, json_values
 
 
 def closure_oracle(generators):
@@ -35,17 +35,6 @@ def closure_oracle(generators):
         for k in range(1, len(g) + 1):
             faces.update(combinations(g, k))
     return tuple(sorted(faces, key=lambda s: (len(s), s)))
-
-
-def grid_torus(n):
-    """The n x n grid torus, each square cut along one diagonal."""
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = i * n + j, ((i + 1) % n) * n + j
-            c, d = ((i + 1) % n) * n + (j + 1) % n, i * n + (j + 1) % n
-            tris += [tuple(sorted((a, b, c))), tuple(sorted((a, d, c)))]
-    return LocallyOrderedComplex.from_maximal(n * n, tris)
 
 
 # =========================================================================

@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import math
+import sys
 
 import pytest
 
@@ -15,7 +17,9 @@ from necklace_chern.decorations import (
     validate_decoration,
 )
 from necklace_chern.errors import InvalidInputError, ResourceBudgetError
-from necklace_chern.words_necklaces import Word, boundary_word, word
+from necklace_chern.words_necklaces import Word, boundary_word, word, words_of_content
+
+from conftest import grid_torus
 
 
 def triangle_complex():
@@ -248,11 +252,13 @@ def counts_compatible(base, combo):
     return True
 
 
-def brute_force_decorations(base, max_len):
+def brute_force_decorations(base, max_len, words=None):
     """Oracle: generate word/shift combinations, prefilter by letter
-    counts, keep whatever the validator accepts. Tiny complexes only."""
-    per_simplex_words = []
-    for s in base.simplices:
+    counts, keep whatever the validator accepts. Tiny complexes only.
+
+    Given ``words`` (one per simplex id), only the shifts are searched."""
+    per_simplex_words = [] if words is None else [[w] for w in words]
+    for s in base.simplices if words is None else ():
         k1 = len(s)
         choices = []
         for length in range(k1, max_len + 1):
@@ -326,6 +332,45 @@ class TestEnumeration:
         assert len(ours) == len(oracle)
         key = lambda d: (tuple(w.letters for w in d.words), d.shifts)
         assert sorted(map(key, ours)) == sorted(map(key, oracle))
+
+    def test_single_edge_with_longer_fibers_matches_brute_force(self):
+        # at 4 the fibers reach length 3, so shifts of repeated letters matter
+        base = edge_complex()
+        ours = list(enumerate_decorations(base, 4))
+        oracle = brute_force_decorations(base, 4)
+        assert len(ours) == len(oracle)
+        key = lambda d: (tuple(w.letters for w in d.words), d.shifts)
+        assert sorted(map(key, ours)) == sorted(map(key, oracle))
+
+    @pytest.mark.parametrize("fibers", [(1, 1, 2), (1, 2, 1), (2, 1, 1)])
+    def test_triangle_shift_search_with_longer_fibers(self, fibers):
+        # With a fiber of length 2 the face-pair identities depend on the
+        # shifts.  The triangle at max_len 4 has 387,072 such decorations
+        # (the oracle would try ~3e7 word combinations), so this compares
+        # the shift search alone, on the first words of each content.
+        base = triangle_complex()
+        words = tuple(
+            next(words_of_content([fibers[v] for v in s])) for s in base.simplices
+        )
+        ours = list(
+            decorations._shift_decorations(
+                base, words, decorations._face_slots(base), decorations._Budget(10**6)
+            )
+        )
+        oracle = brute_force_decorations(base, 4, words)
+        assert ours and len(ours) == len(oracle)
+        key = lambda d: (tuple(w.letters for w in d.words), d.shifts)
+        assert sorted(map(key, ours)) == sorted(map(key, oracle))
+
+    def test_deep_base_enumerates_without_recursion(self):
+        # more vertices than the interpreter's recursion limit, and so more
+        # simplices and face slots: one stack frame per vertex, simplex or
+        # slot would pass it
+        base = grid_torus(math.isqrt(sys.getrecursionlimit()) + 1)
+        assert base.vertex_count > sys.getrecursionlimit()
+        d = next(enumerate_decorations(base, 3))
+        assert d.base == base
+        assert validate_decoration(d).ok
 
     def test_enumerated_sample_is_valid(self):
         base = triangle_complex()

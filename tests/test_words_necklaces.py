@@ -214,6 +214,28 @@ def test_canonical_necklace_scans_the_word_once(monkeypatch):
     assert len(scans) == 2
 
 
+def test_canonical_necklace_checks_the_letters_once(monkeypatch):
+    checked = []
+    check = Word.__init__
+
+    def counted(self, letters, alphabet_size):
+        checked.append(letters)
+        check(self, letters, alphabet_size)
+
+    w = word([2, 1, 0, 1, 2, 0])
+    monkeypatch.setattr(Word, "__init__", counted)
+    n = canonical_necklace(w)
+    # the rotation of a checked word is not checked again
+    assert checked == []
+    assert n == Necklace(Word((0, 1, 2, 0, 2, 1), 3))
+    assert checked == [(0, 1, 2, 0, 2, 1)]
+    # a word built by a caller is still checked in full
+    with pytest.raises(InvalidInputError):
+        Word((0, 1, 3), 3)
+    with pytest.raises(InvalidInputError):
+        Word((0, 2, 2), 3)
+
+
 # ------------------------------------------------------------- parity
 
 
