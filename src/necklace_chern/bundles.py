@@ -464,6 +464,7 @@ def extract_decoration(
         )
     words: Dict[int, Word] = {}
     shifts: Dict[Tuple[int, int], int] = {}
+    faces = b.base.face_ids
     for i, V in enumerate(b.base.simplices):
         # extract_word rejects a designated section that is not a zero-section
         # over V; faces precede V in canonical order, so theirs are checked
@@ -474,9 +475,9 @@ def extract_decoration(
         view = elementary_view(b, V)
         p = _section_position(view, choice.sections[i])
         m = len(view.zero_sections)
-        for j in range(len(V)):
+        for j, f in enumerate(faces[i]):
             dropped = V[j]
-            target = choice.sections[b.base.simplex_id(V[:j] + V[j + 1:])]
+            target = choice.sections[f]
             for walked in range(m):
                 Z = view.zero_sections[(p + walked) % m]
                 restricted = tuple(

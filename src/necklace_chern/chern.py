@@ -15,10 +15,11 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ._frozen import Frozen
-from .complexes import LocallyOrderedComplex, Simplex, simplex_face
+from .complexes import LocallyOrderedComplex, Simplex
 from .decorations import (
     Decoration,
     _Budget,
+    _depth_first,
     _face_slots,
     _multiplicity_vectors,
     _shift_decorations,
@@ -145,13 +146,19 @@ def chern_cochain(d: Decoration, h: int, validate: bool = True) -> RationalCocha
 
 def coboundary(c: RationalCochain) -> RationalCochain:
     """(delta c)(V) = sum over faces of V of (-1)^j c(face_j V)."""
+    base = c.base
+    upper = base.simplices_of_dimension(c.degree + 1)
     out = []
-    for V in c.base.simplices_of_dimension(c.degree + 1):
-        total = Fraction(0)
-        for j in range(len(V)):
-            total += (-1) ** j * c.value_for(simplex_face(V, j))
-        out.append(total)
-    return RationalCochain(c.base, c.degree + 1, tuple(out))
+    if upper:
+        first = base.simplex_id(upper[0])
+        # the ids of one dimension run on into those of the next
+        offset = first - len(c.values)
+        for faces in base.face_ids[first : first + len(upper)]:
+            total = Fraction(0)
+            for j, f in enumerate(faces):
+                total += (-1) ** j * c.values[f - offset]
+            out.append(total)
+    return RationalCochain(base, c.degree + 1, tuple(out))
 
 
 def fundamental_cycle(base: LocallyOrderedComplex) -> FundamentalCycle:
@@ -171,13 +178,14 @@ def fundamental_cycle(base: LocallyOrderedComplex) -> FundamentalCycle:
     if base.dimension != 2:
         raise InvalidInputError("a fundamental cycle needs a 2-dimensional base")
     triangles = base.simplices_of_dimension(2)
-    index = {t: i for i, t in enumerate(triangles)}
-    by_edge: Dict[Simplex, List[Tuple[int, int]]] = {}
-    for i, t in enumerate(triangles):
-        for j in range(3):
-            by_edge.setdefault(simplex_face(t, j), []).append((i, j))
-    for edge in base.simplices_of_dimension(1):
-        hits = by_edge.get(edge, [])
+    # the triangles are the last simplices
+    tri_faces = base.face_ids[-len(triangles) :]
+    by_edge: Dict[int, List[Tuple[int, int]]] = {}
+    for i, faces in enumerate(tri_faces):
+        for j, e in enumerate(faces):
+            by_edge.setdefault(e, []).append((i, j))
+    for e, edge in enumerate(base.simplices_of_dimension(1), base.vertex_count):
+        hits = by_edge.get(e, [])
         if len(hits) != 2:
             raise NotClosedError(
                 f"edge {edge} lies in {len(hits)} triangles, expected 2"
@@ -191,9 +199,8 @@ def fundamental_cycle(base: LocallyOrderedComplex) -> FundamentalCycle:
         queue = [seed]
         while queue:
             i = queue.pop()
-            for j in range(3):
-                edge = simplex_face(triangles[i], j)
-                for i2, j2 in by_edge[edge]:
+            for j, e in enumerate(tri_faces[i]):
+                for i2, j2 in by_edge[e]:
                     if i2 == i:
                         continue
                     # cancellation: s_i (-1)^j + s_i2 (-1)^j2 == 0
@@ -201,7 +208,8 @@ def fundamental_cycle(base: LocallyOrderedComplex) -> FundamentalCycle:
                     if i2 in signs:
                         if signs[i2] != forced:
                             raise NonOrientableError(
-                                f"no coherent orientation across edge {edge}"
+                                "no coherent orientation across edge "
+                                f"{base.simplices[e]}"
                             )
                     else:
                         signs[i2] = forced
@@ -241,10 +249,12 @@ def chern_number(
 # =========================================================================
 
 
+# a triangle's word, its parity and the rotation classes of its faces' words
+_Candidate = Tuple[Word, Fraction, Tuple[Necklace, Necklace, Necklace]]
+
+
 @lru_cache(maxsize=4096)
-def _triangle_candidates(
-    content: Tuple[int, int, int]
-) -> Tuple[Tuple[Word, Fraction, Tuple[Necklace, Necklace, Necklace]], ...]:
+def _triangle_candidates(content: Tuple[int, int, int]) -> Tuple[_Candidate, ...]:
     """One lexicographically least word per rotation class with the given
     letter content, together with its parity and the rotation classes of
     its three boundary words."""
@@ -263,22 +273,21 @@ def _triangle_candidates(
 
 def _solve_shifts(
     base: LocallyOrderedComplex,
-    words: Dict[int, Word],
+    words: Sequence[Word],
     tally: _Budget,
 ) -> Optional[Decoration]:
-    """Find one shift assignment making the given words a valid decoration,
-    or None.
+    """Find one shift assignment making the given words (indexed by simplex
+    id) a valid decoration, or None.
 
     Slots are ordered triangle by triangle, each followed by the slots of
     its edges, so every functoriality identity of a triangle becomes
     checkable within a few assignments of entering it.
     """
     order: List[Tuple[int, int]] = []
-    for t in base.simplices_of_dimension(2):
-        order.extend((base.simplex_id(t), j) for j in range(3))
-        for j in range(3):
-            e_id = base.simplex_id(simplex_face(t, j))
-            order.extend((e_id, jj) for jj in range(2))
+    for i, faces in enumerate(base.face_ids):
+        if len(faces) == 3:
+            order.extend((i, j) for j in range(3))
+            order.extend((e, jj) for e in faces for jj in range(2))
     slots = list(dict.fromkeys(order + _face_slots(base)))
     return next(_shift_decorations(base, words, slots, tally), None)
 
@@ -313,12 +322,32 @@ def achievable_chern_numbers(
     full_range = set(range(-(tri_count // 2), tri_count // 2 + 1))
     achieved: Set[int] = set()
 
-    edge_slots: Dict[Simplex, List[Tuple[int, int]]] = {}
-    for ti, t in enumerate(triangles):
-        for j in range(3):
-            edge_slots.setdefault(simplex_face(t, j), []).append((ti, j))
+    # ids run vertices, edges, triangles; fundamental_cycle has checked
+    # that every edge lies in exactly two triangles
+    first = len(base.simplices) - tri_count
+    # per edge its first (triangle, face), and per triangle the
+    # (face, earlier triangle, its face) of each edge shared with one before
+    source: Dict[int, Tuple[int, int]] = {}
+    shared: List[List[Tuple[int, int, int]]] = []
+    for ti, faces in enumerate(base.face_ids[first:]):
+        shared.append([(j, *source[e]) for j, e in enumerate(faces) if e in source])
+        for j, e in enumerate(faces):
+            source.setdefault(e, (ti, j))
+    edge_sources = [source[e] for e in range(base.vertex_count, first)]
 
     scale = Fraction(-1, 2)
+    chosen: List[Optional[_Candidate]] = [None] * tri_count
+    signed = [Fraction(0)] * (tri_count + 1)  # signed[ti]: sum before triangle ti
+
+    def accept(ti: int, entry: _Candidate) -> bool:
+        """Record a candidate for triangle ti; descend if it matches the
+        boundary necklaces of the triangles before it."""
+        tally.spend()
+        chosen[ti] = entry
+        if not all(entry[2][j] == chosen[t][2][jt] for j, t, jt in shared[ti]):
+            return False
+        signed[ti + 1] = signed[ti] + fc.coefficients[ti] * entry[1]
+        return True
 
     for mult in _multiplicity_vectors(base, max_len):
         # candidate necklace representatives per triangle, with their
@@ -329,37 +358,16 @@ def achievable_chern_numbers(
             tally.spend(len(entries))
             candidates.append(entries)
 
-        chosen: List[Optional[Tuple[Word, Fraction, Tuple[Necklace, ...]]]] = [
-            None
-        ] * tri_count
-
-        def edge_consistent(ti: int) -> bool:
-            for j in range(3):
-                edge = simplex_face(triangles[ti], j)
-                for ti2, j2 in edge_slots[edge]:
-                    if ti2 == ti or chosen[ti2] is None:
-                        continue
-                    if chosen[ti][2][j] != chosen[ti2][2][j2]:
-                        return False
-            return True
-
-        def try_tuple(signed: Fraction) -> None:
-            predicted = scale * signed
+        for _ in _depth_first(tri_count, candidates.__getitem__, accept):
+            predicted = scale * signed[-1]
             if predicted.denominator != 1 or int(predicted) in achieved:
-                return
-            words: Dict[int, Word] = {}
-            for i, s in enumerate(base.simplices):
-                if len(s) == 1:
-                    words[i] = Word((0,) * mult[s[0]], 1)
-            for ti, t in enumerate(triangles):
-                words[base.simplex_id(t)] = chosen[ti][0]
-            for edge, slots_here in edge_slots.items():
-                ti, j = slots_here[0]
-                rep = chosen[ti][2][j].canonical_word
-                words[base.simplex_id(edge)] = rep
+                continue
+            words = [Word((0,) * m, 1) for m in mult]
+            words += (chosen[ti][2][j].canonical_word for ti, j in edge_sources)
+            words += (entry[0] for entry in chosen)
             d = _solve_shifts(base, words, tally)
             if d is None:
-                return
+                continue
             report = validate_decoration(d)
             if not report.ok:
                 raise InvalidInputError(
@@ -373,24 +381,6 @@ def achievable_chern_numbers(
                     f"decoration pairs to {realized}"
                 )
             achieved.add(realized)
-
-        def assign(ti: int, signed: Fraction) -> bool:
-            """Depth-first over triangles, carrying the signed parity sum of
-            the triangles chosen so far; returns True to stop everything
-            (full range achieved)."""
-            if ti == tri_count:
-                try_tuple(signed)
-                return achieved == full_range
-            for entry in candidates[ti]:
-                tally.spend()
-                chosen[ti] = entry
-                if edge_consistent(ti) and assign(
-                    ti + 1, signed + fc.coefficients[ti] * entry[1]
-                ):
-                    return True
-            chosen[ti] = None
-            return False
-
-        if assign(0, Fraction(0)):
-            return achieved
+            if achieved == full_range:
+                return achieved
     return achieved

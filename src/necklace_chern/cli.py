@@ -346,7 +346,6 @@ def cmd_chern(args: argparse.Namespace) -> int:
 
 def _load_cycle(path: str, d) -> FundamentalCycle:
     from .chern import FundamentalCycle
-    from .complexes import simplex_face
     from .serialize import _int_list, _load, _require_fields
 
     data = _load(path, "cycle")
@@ -354,15 +353,16 @@ def _load_cycle(path: str, d) -> FundamentalCycle:
     # exact ints only: True and 1.0 compare equal to 1
     coeffs = _int_list(data.get("coefficients"), "cycle file \"coefficients\"")
     fc = FundamentalCycle(d.base, tuple(coeffs))
-    boundary = dict.fromkeys(d.base.simplices_of_dimension(1), 0)
+    base = d.base
+    boundary = [0] * len(base.simplices)
     for t, c in zip(fc.triangles, fc.coefficients):
-        for j in range(3):
-            boundary[simplex_face(t, j)] += c * (-1) ** j
-    for edge, value in boundary.items():
+        for j, e in enumerate(base.face_ids[base.simplex_id(t)]):
+            boundary[e] += c * (-1) ** j
+    for e, value in enumerate(boundary):
         if value:
             raise InvalidInputError(
                 f"cycle file coefficients are not a cycle: their boundary "
-                f"is {value} on edge {edge}"
+                f"is {value} on edge {base.simplices[e]}"
             )
     return fc
 

@@ -153,6 +153,17 @@ class LocallyOrderedComplex(Frozen):
     def _index(self) -> Dict[Simplex, int]:
         return {s: i for i, s in enumerate(self.simplices)}
 
+    @cached_property
+    def face_ids(self) -> Tuple[Tuple[int, ...], ...]:
+        """By simplex id, the ids of the simplex's faces 0..d; vertices have
+        none."""
+        index = self._index.__getitem__
+        table = [()] * len(self._by_dimension[0])
+        for run in self._by_dimension[1:]:
+            getters = _facet_getters(len(run[0]) - 1)
+            table.extend(zip(*(map(index, map(f, run)) for f in getters)))
+        return tuple(table)
+
     @property
     def dimension(self) -> int:
         return len(self.simplices[-1]) - 1
@@ -170,13 +181,8 @@ class LocallyOrderedComplex(Frozen):
     def maximal_simplices(self) -> Tuple[Simplex, ...]:
         """The simplices that are a facet of no other simplex, in canonical
         order; closure under faces makes them the maximal ones."""
-        facets = {
-            simplex_face(s, j)
-            for s in self.simplices
-            if len(s) > 1
-            for j in range(len(s))
-        }
-        return tuple(s for s in self.simplices if s not in facets)
+        facets = set(chain.from_iterable(self.face_ids))
+        return tuple(s for i, s in enumerate(self.simplices) if i not in facets)
 
     def has_simplex(self, s: Sequence[int]) -> bool:
         return tuple(s) in self._index

@@ -20,7 +20,6 @@ from typing import (
 from ._frozen import Frozen
 from .complexes import (
     LocallyOrderedComplex,
-    Simplex,
     ValidationIssue,
     ValidationReport,
     simplex_face,
@@ -180,47 +179,43 @@ def _shift_morphisms(
     base: LocallyOrderedComplex,
     words: Union[Sequence[Word], Mapping[int, Word]],
     shifts: Mapping[Tuple[int, int], int],
-) -> Callable[[Simplex, int], WordMorphism]:
-    """morphism(parent, j) for the current entry of ``shifts``, memoized on
-    (simplex id, j, shift); ``words`` is indexed by simplex id and must stay
-    fixed while the returned function is in use."""
+) -> Callable[[int, int], WordMorphism]:
+    """morphism(i, j) for face j of simplex id i at the current entry of
+    ``shifts``, memoized on (i, j, shift); ``words`` is indexed by simplex
+    id and must stay fixed while the returned function is in use."""
+    faces = base.face_ids
     memo: Dict[Tuple[int, int, int], WordMorphism] = {}
 
-    def morphism(parent: Simplex, j: int) -> WordMorphism:
-        i = base.simplex_id(parent)
+    def morphism(i: int, j: int) -> WordMorphism:
         key = (i, j, shifts[(i, j)])
         m = memo.get(key)
         if m is None:
-            child = words[base.simplex_id(simplex_face(parent, j))]
+            child = words[faces[i][j]]
             m = memo[key] = morphism_from_shift(words[i], child, j, key[2])
         return m
 
     return morphism
 
 
-def _face_pair_slots(
-    simplex: Simplex, j1: int, j2: int
-) -> Tuple[Tuple[Simplex, int], ...]:
-    """The four (parent, face) inclusions of the simplicial identity for
-    faces j1 < j2: the path through face j2 then face j1, and the path
-    through face j1 then face j2 - 1."""
-    return (
-        (simplex, j2),
-        (simplex_face(simplex, j2), j1),
-        (simplex, j1),
-        (simplex_face(simplex, j1), j2 - 1),
-    )
+def _face_pairs(faces: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:
+    """(i, j1, j2, slots) for each face pair j1 < j2 of each simplex id i of
+    dimension >= 2, in canonical order.  The slots are the four (simplex id,
+    face) inclusions of the simplicial identity: the path through face j2
+    then face j1, and the path through face j1 then face j2 - 1."""
+    for i, f in enumerate(faces):
+        if len(f) < 3:
+            continue
+        for j2 in range(len(f)):
+            for j1 in range(j2):
+                yield i, j1, j2, ((i, j2), (f[j2], j1), (i, j1), (f[j1], j2 - 1))
 
 
 def _face_pair_commutes(
-    morphism: Callable[[Simplex, int], WordMorphism],
-    simplex: Simplex,
-    j1: int,
-    j2: int,
+    morphism: Callable[[int, int], WordMorphism], pair: Tuple[Tuple[int, int], ...]
 ) -> bool:
-    """Whether both paths of the face pair (j1, j2) compose to the same word
-    morphism, with morphism(parent, j) giving each face inclusion."""
-    outer_b, inner_b, outer_a, inner_a = _face_pair_slots(simplex, j1, j2)
+    """Whether both paths of a face pair (`_face_pairs`) compose to the
+    same word morphism, with morphism(i, j) giving each face inclusion."""
+    outer_b, inner_b, outer_a, inner_a = pair
     through_b = compose_word_morphisms(morphism(*outer_b), morphism(*inner_b))
     through_a = compose_word_morphisms(morphism(*outer_a), morphism(*inner_a))
     return through_a == through_b
@@ -230,6 +225,7 @@ def validate_decoration(d: Decoration) -> ValidationReport:
     """Check boundary compatibility and face-chain functoriality everywhere."""
     issues: List[ValidationIssue] = []
     base = d.base
+    faces = base.face_ids
     for i, simplex in enumerate(base.simplices):
         size = len(simplex)
         w = d.words[i]
@@ -263,7 +259,7 @@ def validate_decoration(d: Decoration) -> ValidationReport:
                     )
                 )
                 continue
-            child = d.word_for(simplex_face(simplex, j))
+            child = d.words[faces[i][j]]
             derived, _ = boundary_word(
                 cyclic_shift(w, t), delete_index_face(j, size)
             )
@@ -284,27 +280,21 @@ def validate_decoration(d: Decoration) -> ValidationReport:
         for j, t in enumerate(per_face)
     }
     morphism = _shift_morphisms(base, d.words, shifts)
-    for simplex in base.simplices:
-        size = len(simplex)
-        if size < 3:
+    for i, j1, j2, pair in _face_pairs(faces):
+        simplex = base.simplices[i]
+        try:
+            commutes = _face_pair_commutes(morphism, pair)
+        except InvalidInputError as exc:
+            issues.append(ValidationIssue("morphism-invalid", str(exc), simplex))
             continue
-        for j2 in range(size):
-            for j1 in range(j2):
-                try:
-                    commutes = _face_pair_commutes(morphism, simplex, j1, j2)
-                except InvalidInputError as exc:
-                    issues.append(
-                        ValidationIssue("morphism-invalid", str(exc), simplex)
-                    )
-                    continue
-                if not commutes:
-                    issues.append(
-                        ValidationIssue(
-                            "functoriality-mismatch",
-                            f"faces {j1} and {j2} compose differently",
-                            simplex,
-                        )
-                    )
+        if not commutes:
+            issues.append(
+                ValidationIssue(
+                    "functoriality-mismatch",
+                    f"faces {j1} and {j2} compose differently",
+                    simplex,
+                )
+            )
     return ValidationReport(tuple(issues))
 
 
@@ -393,12 +383,7 @@ def _depth_first(
 def _face_slots(base: LocallyOrderedComplex) -> List[Tuple[int, int]]:
     """Every (simplex id, face) slot that carries a shift, in canonical
     order."""
-    return [
-        (i, j)
-        for i, s in enumerate(base.simplices)
-        if len(s) > 1
-        for j in range(len(s))
-    ]
+    return [(i, j) for i, f in enumerate(base.face_ids) for j in range(len(f))]
 
 
 def _shift_decorations(
@@ -412,50 +397,36 @@ def _shift_decorations(
 
     ``slots`` lists every face slot of the base once. Each face-pair
     identity is checked as soon as the last of its four slots is assigned,
-    memoized on (simplex, j1, j2) and the four shifts; every shift tried
+    memoized on its four slots and their shifts; every shift tried
     charges the budget once.
     """
+    faces = base.face_ids
     position = {slot: pos for pos, slot in enumerate(slots)}
     checks_at: List[List[tuple]] = [[] for _ in slots]
-    for s in base.simplices:
-        if len(s) < 3:
-            continue
-        for j2 in range(len(s)):
-            for j1 in range(j2):
-                pair = tuple(
-                    (base.simplex_id(parent), j)
-                    for parent, j in _face_pair_slots(s, j1, j2)
-                )
-                fires = max(position[slot] for slot in pair)
-                checks_at[fires].append((s, j1, j2, pair))
-    domains = [
-        _valid_shifts(
-            words[i], j, words[base.simplex_id(simplex_face(base.simplices[i], j))]
-        )
-        for i, j in slots
-    ]
+    for *_, pair in _face_pairs(faces):
+        checks_at[max(position[slot] for slot in pair)].append(pair)
+    domains = [_valid_shifts(words[i], j, words[faces[i][j]]) for i, j in slots]
     if not all(domains):
         return
     shifts: Dict[Tuple[int, int], int] = {}
     morphism = _shift_morphisms(base, words, shifts)
     holds: Dict[tuple, bool] = {}
 
-    def commutes(s: Simplex, j1: int, j2: int, pair: tuple) -> bool:
-        key = (s, j1, j2) + tuple(map(shifts.__getitem__, pair))
+    def commutes(pair: tuple) -> bool:
+        key = pair + tuple(map(shifts.__getitem__, pair))
         ok = holds.get(key)
         if ok is None:
-            ok = holds[key] = _face_pair_commutes(morphism, s, j1, j2)
+            ok = holds[key] = _face_pair_commutes(morphism, pair)
         return ok
 
     def accept(pos: int, t: int) -> bool:
         tally.spend()
         shifts[slots[pos]] = t
-        return all(commutes(*check) for check in checks_at[pos])
+        return all(map(commutes, checks_at[pos]))
 
     for _ in _depth_first(len(slots), domains.__getitem__, accept):
         per_face = tuple(
-            tuple(shifts[(i, j)] for j in range(len(s)) if len(s) > 1)
-            for i, s in enumerate(base.simplices)
+            tuple(shifts[(i, j)] for j in range(len(f))) for i, f in enumerate(faces)
         )
         by_id = tuple(words[i] for i in range(len(per_face)))
         yield Decoration(base, by_id, per_face)
@@ -516,15 +487,13 @@ def enumerate_decorations(
     count = len(base.simplices)
     words: List[Optional[Word]] = [None] * count
     slots = _face_slots(base)
+    faces = base.face_ids
 
     def accept(i: int, w: Word) -> bool:
         tally.spend()
-        simplex = base.simplices[i]
-        if len(simplex) > 1:
-            for j in range(len(simplex)):
-                child_word = words[base.simplex_id(simplex_face(simplex, j))]
-                if not _valid_shifts(w, j, child_word):
-                    return False
+        for j, f in enumerate(faces[i]):
+            if not _valid_shifts(w, j, words[f]):
+                return False
         words[i] = w
         return True
 

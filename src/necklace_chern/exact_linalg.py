@@ -281,29 +281,45 @@ def _require_tall(m: ExactMatrix) -> None:
         )
 
 
-def _minor_sums(table: List[List[int]], cols: int, largest: int) -> Dict[int, int]:
+def _row_windows(rows: int, smallest: int, largest: int) -> List[Tuple[int, int]]:
+    """For each row r of the expansion, the least and greatest size of the
+    column sets it updates: a set of more than r + 1 columns has no minor in
+    rows 0..r yet, and one of fewer than ``smallest`` - (rows after r)
+    columns can no longer grow to ``smallest``."""
+    return [
+        (max(smallest - (rows - 1 - r), 0), min(r + 1, largest)) for r in range(rows)
+    ]
+
+
+def _minor_sums(
+    table: List[List[int]], cols: int, largest: int, smallest: int = 0
+) -> Dict[int, int]:
     """Sums of det over all row sets of size |T| on the columns T, for each
-    set T (a bitmask) of at most ``largest`` columns; O(rows * cols * 2^cols).
+    set T (a bitmask) of ``smallest`` to ``largest`` columns;
+    O(rows * cols * 2^cols).  Entries for smaller sets are left partial.
 
     Each row is read once, as the last row of the minors it ends: Laplace
     expansion along it adds (-1)^(columns of T after c) * x[r][c] *
-    sums[T - {c}] to sums[T], largest T first, so T - {c} is not yet updated.
+    sums[T - {c}] to sums[T], largest T first, so T - {c} is not yet
+    updated.  Row r updates only the set sizes of its `_row_windows`.
     """
-    masks = [0]
-    for t in masks:  # each set grows by the columns after its last one
-        if t.bit_count() < largest:
-            masks.extend(t | 1 << c for c in range(t.bit_length(), cols))
-    sums = dict.fromkeys(masks, 0)
+    layers = [[0]]  # column sets by size; each grows by the columns after its last
+    for _ in range(largest):
+        layers.append(
+            [t | 1 << c for t in layers[-1] for c in range(t.bit_length(), cols)]
+        )
+    sums = {t: 0 for layer in layers for t in layer}
     sums[0] = 1
-    for row in table:
+    for row, (low, high) in zip(table, _row_windows(len(table), smallest, largest)):
         entries = [(c, 1 << c, x) for c, x in enumerate(row) if x]
-        for t in reversed(masks):
-            for c, bit, x in entries:
-                if t & bit:
-                    term = x * sums[t ^ bit]
-                    if (t >> (c + 1)).bit_count() & 1:
-                        term = -term
-                    sums[t] += term
+        for k in range(high, low - 1, -1):
+            for t in layers[k]:
+                for c, bit, x in entries:
+                    if t & bit:
+                        term = x * sums[t ^ bit]
+                        if (t >> (c + 1)).bit_count() & 1:
+                            term = -term
+                        sums[t] += term
     return sums
 
 
@@ -324,18 +340,23 @@ def sum_maximal_minors(m: ExactMatrix) -> Fraction:
     Raises
     ------
     ResourceBudgetError
-        If the rows * 2^cols (row, column set) updates of the expansion
-        exceed SUBWORD_BUDGET.
+        If the (row, column set) updates of the expansion exceed
+        SUBWORD_BUDGET.  Only sets that can still grow into the full column
+        set are updated, so a square matrix costs 2^cols - 1 of them.
     """
     _require_tall(m)
-    updates = m.rows << m.cols
+    sizes = [1]  # C(cols, k) for k = 0..cols
+    for k in range(m.cols):
+        sizes.append(sizes[-1] * (m.cols - k) // (k + 1))
+    windows = _row_windows(m.rows, m.cols, m.cols)
+    updates = sum(sum(sizes[low : high + 1]) for low, high in windows)
     if updates > SUBWORD_BUDGET:
         raise ResourceBudgetError(
-            f"{m.rows} rows x {1 << m.cols} column sets = {updates} "
-            f"minor-expansion updates exceed the budget {SUBWORD_BUDGET}"
+            f"{m.rows}x{m.cols} matrix: {updates} minor-expansion updates "
+            f"exceed the budget {SUBWORD_BUDGET}"
         )
     table, scales = _integer_scaled(m)
-    sums = _minor_sums(table, m.cols, m.cols)
+    sums = _minor_sums(table, m.cols, m.cols, m.cols)
     return Fraction(sums[(1 << m.cols) - 1], prod(scales))
 
 

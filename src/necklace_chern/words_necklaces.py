@@ -473,25 +473,24 @@ def necklace_parity(n: Necklace) -> Fraction:
 
 def words_of_content(content: Sequence[int]) -> Iterator[Word]:
     """All words where letter j occurs exactly content[j] times, in
-    lexicographic order."""
+    lexicographic order: each is the next permutation of the one before
+    (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L)."""
     content = list(content)
     if any(c < 1 for c in content):
         raise InvalidInputError("every letter needs at least one occurrence")
     alphabet_size = len(content)
-    prefix: List[int] = []
-
-    def rec() -> Iterator[Tuple[int, ...]]:
-        if sum(content) == 0:
-            yield tuple(prefix)
+    letters = [x for x, c in enumerate(content) for _ in range(c)]
+    last = len(letters) - 1
+    while True:
+        yield Word(tuple(letters), alphabet_size)
+        # the longest non-increasing suffix starts after position j
+        j = last - 1
+        while j >= 0 and letters[j] >= letters[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for letter in range(alphabet_size):
-            if content[letter] == 0:
-                continue
-            content[letter] -= 1
-            prefix.append(letter)
-            yield from rec()
-            prefix.pop()
-            content[letter] += 1
-
-    for letters in rec():
-        yield Word(letters, alphabet_size)
+        k = last
+        while letters[k] <= letters[j]:
+            k -= 1
+        letters[j], letters[k] = letters[k], letters[j]
+        letters[j + 1 :] = letters[:j:-1]

@@ -2,6 +2,7 @@
 cycles, Chern numbers, and the realizable-range search."""
 
 import itertools
+import math
 import sys
 import time
 from fractions import Fraction
@@ -38,6 +39,8 @@ from necklace_chern.errors import (
 )
 from necklace_chern.serialize import boundary_tetrahedron, hopf_bundle
 from necklace_chern.words_necklaces import SUBWORD_BUDGET, Word, word, words_of_content
+
+from conftest import grid_torus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -325,6 +328,26 @@ class TestAchievableRange:
         got = achievable_chern_numbers(seven_vertex_torus(), 3)
         assert 0 in got
         assert all(abs(c) <= 7 for c in got)
+
+    def test_deep_base_runs_into_the_budget(self):
+        # more triangles than the recursion limit: the search runs on an
+        # explicit stack until the budget stops it
+        base = grid_torus(math.isqrt(sys.getrecursionlimit()) + 1)
+        with pytest.raises(ResourceBudgetError):
+            achievable_chern_numbers(base, 3, budget=10**4)
+
+    @pytest.mark.parametrize("max_len", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "make_base, least", [(tetra_boundary, 150), (seven_vertex_torus, 21059)]
+    )
+    def test_least_budget_that_completes(self, make_base, least, max_len):
+        # every candidate, candidate list and shift tried charges the budget
+        base = make_base()
+        half = len(base.simplices_of_dimension(2)) // 2
+        got = achievable_chern_numbers(base, max_len, budget=least)
+        assert got == set(range(-half, half + 1))
+        with pytest.raises(ResourceBudgetError):
+            achievable_chern_numbers(base, max_len, budget=least - 1)
 
     def test_budget_charged_from_the_first_fiber_lengths(self):
         # fiber-length vectors are generated lazily, so a tiny budget runs

@@ -3,6 +3,7 @@ exit codes, and determinism."""
 
 import itertools
 import json
+import math
 import re
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from necklace_chern.serialize import (
     trivial_bundle,
 )
 
-from conftest import PARITY_LONG_WORD, json_values, mutated_json
+from conftest import PARITY_LONG_WORD, grid_torus, json_values, mutated_json
 
 DATA = Path(necklace_chern.__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,9 +88,9 @@ class TestParity:
         assert out.startswith("input error:")
 
     def test_minor_sum_budget_exits_three(self):
-        # 17 rows x 2**17 column sets of minor expansion exceed the budget;
-        # the single subword fits it
-        letters = [str(i) for i in range(17)]
+        # 19 letters, one of them twice: 2 x (2**19 - 1) + 1 updates of minor
+        # expansion exceed the budget; the two subwords fit it
+        letters = [str(i) for i in range(19)] + ["0"]
         proc = subprocess.run(
             [sys.executable, "-m", "necklace_chern.cli", "parity", *letters],
             capture_output=True,
@@ -98,10 +99,16 @@ class TestParity:
         )
         assert proc.returncode == 3
         assert (
-            "17 rows x 131072 column sets = 2228224 minor-expansion updates "
+            "20x19 matrix: 1048575 minor-expansion updates "
             "exceed the budget 1000000"
         ) in proc.stdout
         assert "Traceback" not in proc.stderr
+
+    def test_one_subword_of_seventeen_letters(self, capsys):
+        # a square matrix: 2**17 - 1 expansion updates
+        code, out = run(capsys, "parity", *map(str, range(17)), "--no-timing")
+        assert code == 0
+        assert out.splitlines()[-1] == "P = 1"
 
     def test_many_letters_within_the_expansion_budget(self, capsys):
         # C(33, 11) ~ 1.9e8 maximal minors, but 33 x 2**11 expansion updates
@@ -496,6 +503,17 @@ class TestRange:
         assert code == 3
         assert out.startswith("resource bound exceeded:")
 
+    def test_budget_env_var_on_a_deep_base(self, capsys, tmp_path, monkeypatch):
+        # more triangles than the recursion limit: exit 3, not a traceback
+        path = tmp_path / "grid.json"
+        save_complex(grid_torus(math.isqrt(sys.getrecursionlimit()) + 1), path)
+        monkeypatch.setenv("NECKLACE_MAX_CANDIDATES", "10000")
+        code, out = run(
+            capsys, "range", "--base", str(path), "--max-len", "3", "--no-timing"
+        )
+        assert code == 3
+        assert out.startswith("resource bound exceeded:")
+
     def test_open_surface_is_input_error(self, capsys, tmp_path):
         disk = LocallyOrderedComplex.from_maximal(3, [(0, 1, 2)])
         path = tmp_path / "disk.json"
@@ -547,6 +565,14 @@ class TestGoldenCorpus:
         )
         assert code == 0
         assert out.encode() == (GOLDEN / "tetrahedron_range_4.txt").read_bytes()
+
+    def test_range_on_the_seven_vertex_torus(self, capsys):
+        base = GOLDEN / "torus7_base.json"
+        code, out = run(
+            capsys, "range", "--base", str(base), "--max-len", "5", "--no-timing"
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / "torus7_range_5.txt").read_bytes()
 
 
 def test_console_script_runs():

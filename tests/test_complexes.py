@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from necklace_chern.bundles import cycle_bundle, product_bundle
+from necklace_chern.bundles import cycle_bundle, extract_decoration, product_bundle
+from necklace_chern.chern import chern_number
 from necklace_chern.complexes import LocallyOrderedComplex
 from necklace_chern.decorations import elementary_decoration
 from necklace_chern.errors import InvalidInputError
@@ -327,6 +328,21 @@ def test_from_maximal_matches_set_closure(generators):
             s for s in expected if len(s) == d + 1
         )
     assert LocallyOrderedComplex(n, [list(s) for s in expected]) == c
+    index = {s: i for i, s in enumerate(expected)}
+    facets = [[s[:j] + s[j + 1 :] for j in range(len(s))] for s in expected]
+    assert c.face_ids == tuple(
+        tuple(map(index.__getitem__, f)) if len(f) > 1 else () for f in facets
+    )
+    every_facet = {f for fs in facets if len(fs) > 1 for f in fs}
+    assert c.maximal_simplices() == tuple(s for s in expected if s not in every_facet)
+
+
+def test_bundle_passes_leave_the_total_without_a_face_table():
+    # the face table is built on first use, and only base passes use it
+    b = product_bundle(grid_torus(3), 3)
+    chern_number(extract_decoration(b))
+    assert "face_ids" in vars(b.base)
+    assert "face_ids" not in vars(b.total)
 
 
 # =========================================================================

@@ -299,19 +299,33 @@ def random_rational_matrix(rng, rows, cols):
 
 
 def test_minor_sum_expansion_matches_the_enumeration():
+    # square and near-square matrices too, where the expansion skips most
+    # column sets because they can no longer complete
     rng = random.Random(71)
-    for cols in range(1, 7):
-        for rows in range(cols, 11):
+    for cols in range(1, 12):
+        for rows in range(cols, max(cols + 3, 11)):
             for _ in range(3):
                 m = random_rational_matrix(rng, rows, cols)
                 assert sum_maximal_minors(m) == enumerated_minor_sum(m), m.entries
 
 
+def test_identity_minor_sum_within_the_expansion_budget():
+    # 2^17 - 1 updates: only the sets of r + 1 columns grow at row r
+    assert sum_maximal_minors(ExactMatrix.identity(17)) == 1
+
+
+def _expansion_updates(rows, cols):
+    """(row, column set) updates of the pruned expansion: a nonempty set is
+    updated on rows - cols + 1 rows, the empty set on rows - cols."""
+    return (rows - cols + 1) * (2**cols - 1) + rows - cols
+
+
 def test_minor_sum_budget_counts_expansion_updates():
     cols = 10
-    rows = SUBWORD_BUDGET // 2**cols + 1
-    assert rows * 2**cols > SUBWORD_BUDGET
-    with pytest.raises(ResourceBudgetError, match=f"= {rows * 2**cols} minor-expansion"):
+    rows = SUBWORD_BUDGET // 2**cols + cols
+    updates = _expansion_updates(rows, cols)
+    assert _expansion_updates(rows - 1, cols) <= SUBWORD_BUDGET < updates
+    with pytest.raises(ResourceBudgetError, match=f": {updates} minor-expansion"):
         sum_maximal_minors(ExactMatrix.identity(cols).submatrix([0] * rows))
 
 

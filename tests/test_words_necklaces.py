@@ -31,6 +31,7 @@ from necklace_chern.words_necklaces import (
     rational_parity,
     subword_count,
     word,
+    words_of_content,
 )
 
 from conftest import odd_alphabet_words, surjective_words
@@ -329,3 +330,26 @@ def test_all_surjective_words_counts():
     assert len(list(all_surjective_words(4, 3))) == 36
     assert len(list(all_surjective_words(2, 3))) == 0
     assert len(list(all_surjective_words(3, 1))) == 1
+
+
+@pytest.mark.parametrize(
+    "content", [(1,), (3,), (1, 1), (2, 1), (1, 2, 1), (2, 2, 2), (3, 1, 2), (1, 1, 1, 2)]
+)
+def test_words_of_content_in_lexicographic_order(content):
+    letters = [x for x, c in enumerate(content) for _ in range(c)]
+    expected = sorted(set(itertools.permutations(letters)))
+    got = [w.letters for w in words_of_content(content)]
+    assert got == expected
+    assert all(w.alphabet_size == len(content) for w in words_of_content(content))
+
+
+def test_words_of_content_of_1200_letters():
+    # one generator frame, whatever the length
+    words = words_of_content((400, 400, 400))
+    assert next(words).letters == (0,) * 400 + (1,) * 400 + (2,) * 400
+    assert next(words).letters == (0,) * 400 + (1,) * 399 + (2, 1) + (2,) * 399
+
+
+def test_words_of_content_needs_every_letter():
+    with pytest.raises(InvalidInputError):
+        next(words_of_content((2, 0, 1)))
