@@ -11,8 +11,9 @@ word. Extraction turns the whole bundle into a decoration.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ._frozen import Frozen
 from .complexes import (
@@ -103,11 +104,12 @@ class BundleMap(Frozen):
         """The total simplices grouped by their image, each group in
         canonical order: a total simplex lies over the one simplex it maps
         onto."""
-        groups: Dict[Simplex, List[Simplex]] = {}
+        image_of = self.vertex_map.__getitem__
+        groups: Dict[FrozenSet[int], List[Simplex]] = defaultdict(list)
         for A in self.total.simplices:
-            image = tuple(sorted({self.vertex_map[a] for a in A}))
-            groups.setdefault(image, []).append(A)
-        return groups
+            groups[frozenset(map(image_of, A))].append(A)
+        # one sorted tuple per image, not per simplex
+        return {tuple(sorted(image)): group for image, group in groups.items()}
 
     @cached_property
     def _arcs(self) -> Dict[Tuple[int, int, int], Tuple[int, int]]:
@@ -219,6 +221,7 @@ def _barred(code: str, detail: str, where: Simplex) -> _ViewOrIssues:
 def _view_over(b: BundleMap, U: Simplex) -> _ViewOrIssues:
     issues: List[ValidationIssue] = []
     k1 = len(U)
+    vertex_map = b.vertex_map
     local = {v: j for j, v in enumerate(U)}
     zero: List[Simplex] = []
     # arcs as (simplex, local letter, tail element, head element)
@@ -227,17 +230,20 @@ def _view_over(b: BundleMap, U: Simplex) -> _ViewOrIssues:
         if len(A) == k1:
             zero.append(A)
         elif len(A) == k1 + 1:
-            per_vertex: Dict[int, List[int]] = {v: [] for v in U}
-            for a in A:
-                per_vertex[b.vertex_map[a]].append(a)
-            doubled = [v for v in U if len(per_vertex[v]) == 2]
-            w = doubled[0]
-            oriented = b._arcs.get((w, min(per_vertex[w]), max(per_vertex[w])))
+            # the collapsed pair: the one base vertex met twice
+            seen: Dict[int, int] = {}
+            for y in A:
+                w = vertex_map[y]
+                if w in seen:
+                    break
+                seen[w] = y
+            x = seen[w]
+            oriented = b._arcs.get((w, x, y))
             if oriented is None:
                 issues.append(
                     ValidationIssue(
                         "bad-one-section",
-                        f"collapsed pair {tuple(per_vertex[w])} is not an "
+                        f"collapsed pair {(x, y)} is not an "
                         f"arc of the fiber over vertex {w}",
                         A,
                     )
@@ -255,22 +261,27 @@ def _view_over(b: BundleMap, U: Simplex) -> _ViewOrIssues:
             )
     if issues:
         return None, tuple(issues)
-    if len(zero) != len(arcs):
+    n = len(zero)
+    if n != len(arcs):
         return _barred(
             "count-mismatch",
-            f"{len(zero)} zero-sections but {len(arcs)} one-sections",
+            f"{n} zero-sections but {len(arcs)} one-sections",
             U,
         )
     if not zero:
         return _barred("count-mismatch", "no sections at all", U)
 
-    zero_set = set(zero)
-    arc_info: Dict[Simplex, Tuple[int, int, int]] = {}
-    facets: Dict[Simplex, Tuple[Simplex, Simplex]] = {}
-    for A, letter, tail_el, head_el in arcs:
-        tail_facet = tuple(a for a in A if a != head_el)
-        head_facet = tuple(a for a in A if a != tail_el)
-        if tail_facet not in zero_set or head_facet not in zero_set:
+    # zero-sections by number, in canonical order: number 0 is the least
+    number = {Z: q for q, Z in enumerate(zero)}
+    tails: List[int] = []
+    heads: List[int] = []
+    for A, _, tail_el, head_el in arcs:
+        # the tail facet drops the head element, the head facet the tail
+        h = A.index(head_el)
+        t = A.index(tail_el)
+        tail = number.get(A[:h] + A[h + 1 :])
+        head = number.get(A[:t] + A[t + 1 :])
+        if tail is None or head is None:
             issues.append(
                 ValidationIssue(
                     "missing-facet",
@@ -279,57 +290,51 @@ def _view_over(b: BundleMap, U: Simplex) -> _ViewOrIssues:
                 )
             )
             continue
-        arc_info[A] = (letter, tail_el, head_el)
-        facets[A] = (tail_facet, head_facet)
+        tails.append(tail)
+        heads.append(head)
     if issues:
         return None, tuple(issues)
-    degree = {z: 0 for z in zero}
-    out_deg = {z: 0 for z in zero}
-    for A, (tail_facet, head_facet) in facets.items():
-        degree[tail_facet] += 1
-        degree[head_facet] += 1
-        out_deg[tail_facet] += 1
-    if any(d != 2 for d in degree.values()):
+    degree = [0] * n
+    for q in tails + heads:
+        degree[q] += 1
+    if any(d != 2 for d in degree):
         return _barred(
             "not-single-cycle",
             "some zero-section does not meet exactly two one-sections",
             U,
         )
-    if any(d != 1 for d in out_deg.values()):
+    # n arcs out of n zero-sections: one each unless two share a tail
+    if len(set(tails)) != n:
         return _barred(
             "inconsistent-orientation",
             "arc directions clash: some zero-section is the tail of two arcs",
             U,
         )
-    succ = {facets[A][0]: (A, facets[A][1]) for A in facets}
 
-    anchor = min(zero)
-    order_zero: List[Simplex] = [anchor]
-    order_one: List[Simplex] = []
-    letters: List[int] = []
-    current = anchor
-    for _ in range(len(arcs)):
-        A, nxt = succ[current]
-        order_one.append(A)
-        letters.append(arc_info[A][0])
-        current = nxt
-        if current == anchor:
+    succ = [0] * n
+    for i, tail in enumerate(tails):
+        succ[tail] = i
+    order: List[int] = []
+    q = 0
+    for _ in range(n):
+        i = succ[q]
+        order.append(i)
+        q = heads[i]
+        if q == 0:
             break
-        order_zero.append(current)
-    if len(order_one) != len(arcs) or current != anchor:
+    if len(order) != n or q != 0:
         return _barred(
             "not-single-cycle", "the sections split into more than one cycle", U
         )
 
     # weakly monotone coverage: walking once around the section cycle must
     # walk once around every fiber, advancing at exactly the collapsing arcs
-    restriction = {}
-    for j, v in enumerate(U):
-        for a in anchor:
-            if b.vertex_map[a] == v:
-                restriction[j] = a
-    for A in order_one:
-        letter, tail_el, head_el = arc_info[A]
+    restriction = [0] * k1
+    for a in zero[0]:
+        restriction[local[vertex_map[a]]] = a
+    letters = []
+    for i in order:
+        _, letter, tail_el, head_el = arcs[i]
         if restriction[letter] != tail_el:
             return _barred(
                 "bad-coverage",
@@ -338,6 +343,7 @@ def _view_over(b: BundleMap, U: Simplex) -> _ViewOrIssues:
                 U,
             )
         restriction[letter] = head_el
+        letters.append(letter)
     for j, v in enumerate(U):
         if letters.count(j) != b.fiber_length(v):
             return _barred(
@@ -350,8 +356,8 @@ def _view_over(b: BundleMap, U: Simplex) -> _ViewOrIssues:
 
     view = ElementaryBundleView(
         base_simplex=U,
-        zero_sections=tuple(order_zero),
-        one_sections=tuple(order_one),
+        zero_sections=tuple(zero[tails[i]] for i in order),
+        one_sections=tuple(arcs[i][0] for i in order),
         letters=tuple(letters),
     )
     return view, ()
@@ -465,25 +471,22 @@ def extract_decoration(
     words: Dict[int, Word] = {}
     shifts: Dict[Tuple[int, int], int] = {}
     faces = b.base.face_ids
+    views = b._views
     for i, V in enumerate(b.base.simplices):
-        # extract_word rejects a designated section that is not a zero-section
-        # over V; faces precede V in canonical order, so theirs are checked
-        # before V's shifts need them
-        words[i] = extract_word(b, V, choice.sections[i])
-        if len(V) == 1:
-            continue
-        view = elementary_view(b, V)
+        # a valid bundle has a view over every simplex; a designated section
+        # that is not a zero-section over V is rejected here, and faces
+        # precede V in canonical order, so theirs are checked before V's
+        # shifts need them
+        view = views[V][0]
         p = _section_position(view, choice.sections[i])
-        m = len(view.zero_sections)
+        words[i] = Word(view.letters[p:] + view.letters[:p], len(V))
+        walk = view.zero_sections[p:] + view.zero_sections[:p]
+        m = len(walk)
         for j, f in enumerate(faces[i]):
             dropped = V[j]
             target = choice.sections[f]
-            for walked in range(m):
-                Z = view.zero_sections[(p + walked) % m]
-                restricted = tuple(
-                    z for z in Z if b.vertex_map[z] != dropped
-                )
-                if restricted == target:
+            for walked, Z in enumerate(walk):
+                if tuple(z for z in Z if b.vertex_map[z] != dropped) == target:
                     shifts[(i, j)] = (-walked) % m
                     break
             else:

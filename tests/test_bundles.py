@@ -2,10 +2,12 @@
 
 import gc
 import itertools
+import re
 import weakref
 
 import pytest
 
+from corrupted_bundles import RECORD, corpus_lines
 from necklace_chern.bundles import (
     BundleMap,
     SectionChoice,
@@ -256,6 +258,132 @@ class TestInvalidBundles:
             ("not-onto-simplex", (0, 9)),
             ("not-onto-simplex", (1, 6)),
         ]
+
+
+def over_edge(simplices, total=None):
+    """A bundle over the edge (0, 1) with fibers (0, 1, 2) over 0 and
+    (3, 4, 5) over 1: every fiber arc plus the given simplices, or the
+    given total."""
+    arcs = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    total = total or LocallyOrderedComplex.from_maximal(6, arcs + list(simplices))
+    return BundleMap(total, edge_base(), (0, 0, 0, 1, 1, 1), ((0, 1, 2), (3, 4, 5)))
+
+
+def unclosed_total(simplices):
+    """A total complex on six vertices built past the constructor's
+    face-closure check: no loader makes one, but it is the only way to
+    reach the facet check."""
+    total = object.__new__(LocallyOrderedComplex)
+    object.__setattr__(total, "vertex_count", 6)
+    canonical = tuple(sorted(simplices, key=lambda s: (len(s), s)))
+    object.__setattr__(total, "simplices", canonical)
+    return total
+
+
+def strip(steps):
+    """The triangles over the edge (0, 1) of a section cycle starting at the
+    zero-section (0, 3): letter 0 steps the fiber (0, 1, 2), letter 1 the
+    fiber (3, 4, 5)."""
+    z, triangles = [0, 3], []
+    for letter in steps:
+        before = tuple(z)
+        z[letter] = 3 * letter + (z[letter] + 1) % 3
+        triangles.append(tuple(sorted(set(before) | set(z))))
+    return triangles
+
+
+class TestIssueCodes:
+    """One hand-built bundle per issue code and detail of the section
+    cycles that no other test reaches: the report names it at the
+    offending simplex, and elementary_view raises it."""
+
+    def check(self, b, U, code, detail, where):
+        report = validate_bundle(b)
+        assert [(i.code, i.detail, i.simplex) for i in report.issues] == [
+            (code, detail, where)
+        ]
+        with pytest.raises(InvalidInputError, match=re.escape(str(report.issues[0]))):
+            elementary_view(b, U)
+
+    def test_bad_dimension(self):
+        # a whole triangle over a point whose fiber is its boundary
+        total = LocallyOrderedComplex.from_maximal(3, [(0, 1, 2)])
+        base = LocallyOrderedComplex.from_maximal(1, [(0,)])
+        b = BundleMap(total, base, (0, 0, 0), ((0, 1, 2),))
+        self.check(
+            b,
+            (0,),
+            "bad-dimension",
+            "simplex of dimension 2 maps onto a base simplex of dimension 0",
+            (0, 1, 2),
+        )
+
+    def test_count_mismatch(self):
+        # the product strip over the edge, one triangle dropped
+        prisms = product_bundle(edge_base(), 3).total.simplices_of_dimension(2)
+        b = over_edge(prisms[1:])
+        self.check(
+            b, (0, 1), "count-mismatch", "6 zero-sections but 5 one-sections", (0, 1)
+        )
+
+    def test_no_sections_at_all(self):
+        self.check(over_edge([]), (0, 1), "count-mismatch", "no sections at all", (0, 1))
+
+    def test_missing_facet(self):
+        # the strip with zero-section (1, 3) gone and a stray (0, 4) in its
+        # place: the counts agree, and both triangles on (1, 3) lack a facet
+        closed = over_edge(strip([0, 1] * 3)).total.simplices
+        b = over_edge((), unclosed_total([s for s in closed if s != (1, 3)] + [(0, 4)]))
+        detail = "a facet of this one-section is not a zero-section"
+        assert [(i.code, i.detail, i.simplex) for i in validate_bundle(b).issues] == [
+            ("missing-facet", detail, (0, 1, 3)),
+            ("missing-facet", detail, (1, 3, 4)),
+        ]
+        with pytest.raises(InvalidInputError, match="missing-facet"):
+            elementary_view(b, (0, 1))
+
+    def test_not_single_cycle_degree(self):
+        # three one-sections meet the zero-section (0, 3), one meets (0, 4)
+        b = over_edge(strip([0, 0, 0]) + [(0, 3, 4)])
+        self.check(
+            b,
+            (0, 1),
+            "not-single-cycle",
+            "some zero-section does not meet exactly two one-sections",
+            (0, 1),
+        )
+
+    def test_not_single_cycle_split(self):
+        # once around the fiber over 0, at 3 and again at 4
+        b = over_edge(strip([0, 0, 0]) + [(0, 1, 4), (1, 2, 4), (0, 2, 4)])
+        self.check(
+            b,
+            (0, 1),
+            "not-single-cycle",
+            "the sections split into more than one cycle",
+            (0, 1),
+        )
+
+    @pytest.mark.parametrize(
+        "steps, detail",
+        [
+            ([0, 0, 0], "fiber over local vertex 1 is traversed 0 times, "
+             "expected once around 3 arcs"),
+            ([0, 0, 1] * 3, "fiber over local vertex 0 is traversed 6 times, "
+             "expected once around 3 arcs"),
+        ],
+    )
+    def test_bad_coverage(self, steps, detail):
+        # a single directed section cycle that winds around the fibers
+        # (3, 0) or (6, 3) times
+        self.check(over_edge(strip(steps)), (0, 1), "bad-coverage", detail, (0, 1))
+
+
+def test_corrupted_bundle_corpus():
+    # reports and extractions of seeded corruptions, line for line as the
+    # golden record has them
+    expected = RECORD.read_text(encoding="utf-8").splitlines()
+    assert list(corpus_lines()) == expected
 
 
 class TestNoWholeBundleCache:

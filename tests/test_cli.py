@@ -553,6 +553,17 @@ class TestGoldenCorpus:
             assert code == 0
             assert out.encode() == (GOLDEN / f"{name}_chern_h{h}.txt").read_bytes()
 
+    def test_extract_on_a_corrupted_bundle(self, capsys, tmp_path, monkeypatch):
+        # the Hopf bundle with the stray simplex (3, 6, 7, 11) added
+        monkeypatch.chdir(tmp_path)
+        bundle = GOLDEN / "hopf_bundle_stray_simplex.json"
+        code, out = run(
+            capsys, "extract", "--bundle", str(bundle), "--out", "dec.json", "--no-timing"
+        )
+        assert code == 1
+        assert out.encode() == (GOLDEN / "hopf_stray_simplex_extract.txt").read_bytes()
+        assert not (tmp_path / "dec.json").exists()
+
     def test_parity_long_word(self, capsys):
         code, out = run(capsys, "parity", *PARITY_LONG_WORD.split(), "--no-timing")
         assert code == 0
