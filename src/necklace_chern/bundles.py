@@ -276,24 +276,13 @@ def _view_over(b: BundleMap, U: Simplex) -> _ViewOrIssues:
     tails: List[int] = []
     heads: List[int] = []
     for A, _, tail_el, head_el in arcs:
-        # the tail facet drops the head element, the head facet the tail
+        # the tail facet drops the head element, the head facet the tail;
+        # the complex is closed under faces and both facets map bijectively
+        # onto U, so both are numbered zero-sections
         h = A.index(head_el)
         t = A.index(tail_el)
-        tail = number.get(A[:h] + A[h + 1 :])
-        head = number.get(A[:t] + A[t + 1 :])
-        if tail is None or head is None:
-            issues.append(
-                ValidationIssue(
-                    "missing-facet",
-                    "a facet of this one-section is not a zero-section",
-                    A,
-                )
-            )
-            continue
-        tails.append(tail)
-        heads.append(head)
-    if issues:
-        return None, tuple(issues)
+        tails.append(number[A[:h] + A[h + 1 :]])
+        heads.append(number[A[:t] + A[t + 1 :]])
     degree = [0] * n
     for q in tails + heads:
         degree[q] += 1
@@ -327,23 +316,10 @@ def _view_over(b: BundleMap, U: Simplex) -> _ViewOrIssues:
             "not-single-cycle", "the sections split into more than one cycle", U
         )
 
-    # weakly monotone coverage: walking once around the section cycle must
-    # walk once around every fiber, advancing at exactly the collapsing arcs
-    restriction = [0] * k1
-    for a in zero[0]:
-        restriction[local[vertex_map[a]]] = a
-    letters = []
-    for i in order:
-        _, letter, tail_el, head_el = arcs[i]
-        if restriction[letter] != tail_el:
-            return _barred(
-                "bad-coverage",
-                "the section cycle does not traverse the fiber "
-                f"over local vertex {letter} monotonically",
-                U,
-            )
-        restriction[letter] = head_el
-        letters.append(letter)
+    # each arc is entered from its tail facet, so the walk advances every
+    # fiber along its own direction; what is left to check is that it goes
+    # once around every fiber
+    letters = [arcs[i][1] for i in order]
     for j, v in enumerate(U):
         if letters.count(j) != b.fiber_length(v):
             return _barred(
@@ -484,16 +460,13 @@ def extract_decoration(
         m = len(walk)
         for j, f in enumerate(faces[i]):
             dropped = V[j]
-            target = choice.sections[f]
+            target = tuple(choice.sections[f])
+            # the restrictions go once around the face's section cycle, so
+            # the walk meets every zero-section of the face
             for walked, Z in enumerate(walk):
                 if tuple(z for z in Z if b.vertex_map[z] != dropped) == target:
                     shifts[(i, j)] = (-walked) % m
                     break
-            else:
-                raise SectionNotFoundError(
-                    f"no restriction of the sections over {V} matches the "
-                    f"designated section of face {j}"
-                )
     return Decoration.from_maps(b.base, words, shifts)
 
 

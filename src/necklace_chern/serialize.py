@@ -194,10 +194,12 @@ def decoration_from_data(data: dict) -> Decoration:
     return Decoration.from_maps(base, words, shifts)
 
 
-def save_json(data: dict, path: Union[str, Path]) -> None:
-    Path(path).write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def save_json(data: dict, path: Union[str, Path], what: str = "JSON") -> None:
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise InvalidInputError(f"cannot write {what} file {path}: {err}")
 
 
 def _load(path: Union[str, Path], what: str) -> dict:
@@ -259,12 +261,12 @@ def boundary_tetrahedron() -> LocallyOrderedComplex:
 
 
 def save_complex(c: LocallyOrderedComplex, path: Union[str, Path]) -> None:
-    save_json(complex_to_data(c), path)
+    save_json(complex_to_data(c), path, "complex")
 
 
 def save_bundle(b: BundleMap, path: Union[str, Path]) -> None:
-    save_json(bundle_to_data(b), path)
+    save_json(bundle_to_data(b), path, "bundle")
 
 
 def save_decoration(d: Decoration, path: Union[str, Path]) -> None:
-    save_json(decoration_to_data(d), path)
+    save_json(decoration_to_data(d), path, "decoration")

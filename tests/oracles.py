@@ -6,7 +6,8 @@ that `necklace_chern` computes another way (word matrices feed
 row-subset enumeration checks the Laplace expansion of
 `sum_maximal_minors`, column-subset minor sums are the entries of the Okada
 matrix, and sorting each subword checks the inversion count of
-`rational_parity`).
+`rational_parity`). `integer_homology` reads a bundle's Chern number off the
+homology of its total space, without reading a word.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from necklace_chern.complexes import LocallyOrderedComplex
 from necklace_chern.errors import DimensionMismatchError, InvalidInputError
 from necklace_chern.exact_linalg import ExactMatrix, _as_fraction, determinant
 from necklace_chern.words_necklaces import Word
@@ -129,3 +131,111 @@ def sorted_choice_parity(w: Word) -> Fraction:
         balance += permutation_sign(order)
         count += 1
     return Fraction(balance, count)
+
+
+def boundary_columns(c: LocallyOrderedComplex, k: int) -> List[Dict[int, int]]:
+    """The integer boundary map C_k -> C_(k-1) of c, one sparse column
+    {row: entry} per k-simplex; face j of a simplex has sign (-1)^j."""
+    if k <= 0:
+        return [{} for _ in c.simplices_of_dimension(k)]
+    row = {f: r for r, f in enumerate(c.simplices_of_dimension(k - 1))}
+    return [
+        {row[s[:j] + s[j + 1 :]]: -1 if j & 1 else 1 for j in range(len(s))}
+        for s in c.simplices_of_dimension(k)
+    ]
+
+
+def smith_invariants(m: List[List[int]]) -> List[int]:
+    """The nonzero invariant factors of a dense integer matrix, by the
+    textbook Smith normal form: move a least nonzero entry to the corner,
+    reduce its row and column by division with remainder until it divides
+    everything else, split it off."""
+    m = [list(r) for r in m]
+    factors: List[int] = []
+    while m and m[0]:
+        nonzero = [(abs(v), i, j) for i, r in enumerate(m) for j, v in enumerate(r) if v]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        m[0], m[i] = m[i], m[0]
+        for r in m:
+            r[0], r[j] = r[j], r[0]
+        p = m[0][0]
+        reduced = True
+        for r in m[1:]:
+            q = r[0] // p
+            for col in range(len(r)):
+                r[col] -= q * m[0][col]
+            reduced = reduced and r[0] == 0
+        for col in range(1, len(m[0])):
+            q = m[0][col] // p
+            for r in m:
+                r[col] -= q * r[0]
+            reduced = reduced and m[0][col] == 0
+        if not reduced:
+            continue
+        stray = next((r for r in m[1:] if any(v % p for v in r[1:])), None)
+        if stray is not None:
+            # p must divide the rest: fold the offending row into the first
+            m[0] = [a + b for a, b in zip(m[0], stray)]
+            continue
+        factors.append(abs(p))
+        m = [r[1:] for r in m[1:]]
+    return factors
+
+
+def integer_invariants(columns: List[Dict[int, int]]) -> List[int]:
+    """The nonzero invariant factors of a sparse integer matrix.  Each
+    unit pivot is eliminated in place (it contributes a factor 1); the
+    dense Smith form takes what is left."""
+    cols = {c: dict(col) for c, col in enumerate(columns) if col}
+    rows: Dict[int, Dict[int, int]] = {}
+    for c, col in cols.items():
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
+    units = 0
+    queue = list(cols)
+    while queue:
+        c = queue.pop()
+        col = cols.get(c)
+        if col is None:
+            continue
+        # the unit in the sparsest row keeps fill-in low
+        pivots = [r for r, v in col.items() if v in (1, -1)]
+        if not pivots:
+            continue
+        r = min(pivots, key=lambda r: len(rows[r]))
+        v = col[r]
+        for c2, a in list(rows[r].items()):
+            if c2 == c:
+                continue
+            # column c2 -= a * v * column c clears row r of column c2
+            target = cols[c2]
+            for r2, b in col.items():
+                entry = target.get(r2, 0) - a * v * b
+                if entry:
+                    target[r2] = rows[r2][c2] = entry
+                else:
+                    target.pop(r2, None)
+                    rows[r2].pop(c2, None)
+            if not target:
+                del cols[c2]
+            queue.append(c2)
+        # row r is now zero but at c: drop row r and column c
+        for r2 in col:
+            rows[r2].pop(c, None)
+        del cols[c], rows[r]
+        units += 1
+    live_rows = sorted(r for r, entries in rows.items() if entries)
+    dense = [[cols[c].get(r, 0) for c in sorted(cols)] for r in live_rows]
+    return [1] * units + smith_invariants(dense)
+
+
+def integer_homology(c: LocallyOrderedComplex, k: int) -> Tuple[int, Tuple[int, ...]]:
+    """H_k(c; Z) as (rank, torsion coefficients): the free rank
+    dim C_k - rank d_k - rank d_(k+1), and the invariant factors of d_(k+1)
+    larger than one."""
+    rank_in = len(integer_invariants(boundary_columns(c, k)))
+    factors = integer_invariants(boundary_columns(c, k + 1))
+    rank = len(c.simplices_of_dimension(k)) - rank_in - len(factors)
+    return rank, tuple(sorted(f for f in factors if f > 1))

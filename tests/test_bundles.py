@@ -269,17 +269,6 @@ def over_edge(simplices, total=None):
     return BundleMap(total, edge_base(), (0, 0, 0, 1, 1, 1), ((0, 1, 2), (3, 4, 5)))
 
 
-def unclosed_total(simplices):
-    """A total complex on six vertices built past the constructor's
-    face-closure check: no loader makes one, but it is the only way to
-    reach the facet check."""
-    total = object.__new__(LocallyOrderedComplex)
-    object.__setattr__(total, "vertex_count", 6)
-    canonical = tuple(sorted(simplices, key=lambda s: (len(s), s)))
-    object.__setattr__(total, "simplices", canonical)
-    return total
-
-
 def strip(steps):
     """The triangles over the edge (0, 1) of a section cycle starting at the
     zero-section (0, 3): letter 0 steps the fiber (0, 1, 2), letter 1 the
@@ -328,19 +317,6 @@ class TestIssueCodes:
 
     def test_no_sections_at_all(self):
         self.check(over_edge([]), (0, 1), "count-mismatch", "no sections at all", (0, 1))
-
-    def test_missing_facet(self):
-        # the strip with zero-section (1, 3) gone and a stray (0, 4) in its
-        # place: the counts agree, and both triangles on (1, 3) lack a facet
-        closed = over_edge(strip([0, 1] * 3)).total.simplices
-        b = over_edge((), unclosed_total([s for s in closed if s != (1, 3)] + [(0, 4)]))
-        detail = "a facet of this one-section is not a zero-section"
-        assert [(i.code, i.detail, i.simplex) for i in validate_bundle(b).issues] == [
-            ("missing-facet", detail, (0, 1, 3)),
-            ("missing-facet", detail, (1, 3, 4)),
-        ]
-        with pytest.raises(InvalidInputError, match="missing-facet"):
-            elementary_view(b, (0, 1))
 
     def test_not_single_cycle_degree(self):
         # three one-sections meet the zero-section (0, 3), one meets (0, 4)
@@ -452,6 +428,13 @@ class TestExtractionInvariants:
         for combo in itertools.islice(itertools.product(*pools), 0, None, 7):
             d = extract_decoration(b, SectionChoice(tuple(combo)))
             assert validate_decoration(d).ok
+
+    def test_sections_given_as_lists(self):
+        # a section is matched by its vertices, whatever the sequence type
+        b = product_bundle(tetra_boundary(), 4)
+        choice = default_section_choice(b)
+        as_lists = SectionChoice(tuple(list(s) for s in choice.sections))
+        assert extract_decoration(b, as_lists) == extract_decoration(b, choice)
 
     def test_cycle_bundle_matches_product_over_point(self):
         point = LocallyOrderedComplex.from_maximal(1, [(0,)])

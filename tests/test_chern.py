@@ -37,10 +37,11 @@ from necklace_chern.errors import (
     ResourceBudgetError,
     WrongAlphabetError,
 )
-from necklace_chern.serialize import boundary_tetrahedron, hopf_bundle
+from necklace_chern.serialize import boundary_tetrahedron, hopf_bundle, trivial_bundle
 from necklace_chern.words_necklaces import SUBWORD_BUDGET, Word, word, words_of_content
 
 from conftest import grid_torus
+from oracles import boundary_columns, integer_homology, integer_invariants, smith_invariants
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -281,6 +282,60 @@ class TestChernNumber:
         if not validate_decoration(d).ok:
             with pytest.raises(InvalidInputError):
                 chern_number(d)
+
+
+def projective_plane() -> LocallyOrderedComplex:
+    """The 6-vertex RP^2, the antipodal quotient of the icosahedron."""
+    triangles = [
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+    ]
+    return LocallyOrderedComplex.from_maximal(6, triangles)
+
+
+class TestHomologyOfTheTotalSpace:
+    """A check of |c| that reads no word. An oriented circle bundle with
+    Euler number c over a closed oriented surface of genus g has
+    H1 = Z^(2g) + Z/|c| when c != 0 and Z^(2g+1) when c = 0 (Gysin)."""
+
+    def test_smith_form_of_a_dense_matrix(self):
+        assert smith_invariants([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+
+    def test_projective_plane(self):
+        rp2 = projective_plane()
+        # the dense Smith form on the whole boundary matrix d_2, and after
+        # the sparse unit elimination
+        columns = boundary_columns(rp2, 2)
+        dense = [
+            [col.get(r, 0) for col in columns]
+            for r in range(len(rp2.simplices_of_dimension(1)))
+        ]
+        assert smith_invariants(dense) == [1] * 9 + [2]
+        assert integer_invariants(columns) == [1] * 9 + [2]
+        assert [integer_homology(rp2, k) for k in range(3)] == [
+            (1, ()), (0, (2,)), (0, ()),
+        ]
+
+    @pytest.mark.parametrize(
+        "make, genus",
+        [
+            (hopf_bundle, 0),
+            (trivial_bundle, 0),
+            (lambda: product_bundle(tetra_boundary(), 5), 0),
+            (lambda: product_bundle(grid_torus(3), 3), 1),
+            (lambda: product_bundle(grid_torus(8), 3), 1),
+        ],
+        ids=["hopf", "trivial", "tetrahedron-x5", "grid3-x3", "grid8-x3"],
+    )
+    def test_first_homology_gives_the_chern_number(self, make, genus):
+        b = make()
+        base = b.base
+        euler = sum((-1) ** k * len(base.simplices_of_dimension(k)) for k in range(3))
+        assert euler == 2 - 2 * genus
+        c = chern_number(extract_decoration(b))
+        rank, torsion = integer_homology(b.total, 1)
+        assert rank == 2 * genus + (c == 0)
+        assert math.prod(torsion) == (abs(c) if c else 1)
 
 
 class TestAchievableRange:

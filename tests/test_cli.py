@@ -564,6 +564,35 @@ class TestGoldenCorpus:
         assert out.encode() == (GOLDEN / "hopf_stray_simplex_extract.txt").read_bytes()
         assert not (tmp_path / "dec.json").exists()
 
+    def test_chern_on_a_corrupted_decoration(self, capsys):
+        # case CLI_CASE of tests/corrupted_decorations.py: one edge shift
+        # changed, so two face pairs fail
+        dec = GOLDEN / "corrupted_decoration.json"
+        code, out = run(capsys, "chern", "--decoration", str(dec), "--no-timing")
+        assert code == 1
+        assert out.encode() == (GOLDEN / "corrupted_decoration_chern.txt").read_bytes()
+
+    def test_extract_to_a_missing_directory(self, capsys, tmp_path):
+        # an input error, exit 2 with one line, after the words are printed
+        out_path = tmp_path / "missing" / "x.json"
+        code, out = run(
+            capsys, "extract", "--bundle", str(DATA / "hopf_bundle.json"),
+            "--out", str(out_path), "--no-timing",
+        )
+        assert code == 2
+        golden = (GOLDEN / "hopf_extract_unwritable.txt").read_text(encoding="utf-8")
+        assert out.replace(str(tmp_path), "$PWD") == golden
+
+    def test_extract_to_a_directory(self, capsys, tmp_path):
+        code, out = run(
+            capsys, "extract", "--bundle", str(DATA / "hopf_bundle.json"),
+            "--out", str(tmp_path), "--no-timing",
+        )
+        assert code == 2
+        assert out.splitlines()[-1].startswith(
+            f"input error: cannot write decoration file {tmp_path}: "
+        )
+
     def test_parity_long_word(self, capsys):
         code, out = run(capsys, "parity", *PARITY_LONG_WORD.split(), "--no-timing")
         assert code == 0

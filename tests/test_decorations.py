@@ -17,9 +17,11 @@ from necklace_chern.decorations import (
     validate_decoration,
 )
 from necklace_chern.errors import InvalidInputError, ResourceBudgetError
+from necklace_chern.serialize import save_decoration
 from necklace_chern.words_necklaces import Word, boundary_word, word, words_of_content
 
 from conftest import grid_torus
+from corrupted_decorations import CLI_CASE, GOLDEN, RECORD, cases, corpus_lines
 
 
 def triangle_complex():
@@ -451,6 +453,21 @@ class TestGoldenStreams:
             3000,
             "5d9cde6f5cb584c5d4f2a3f64aa802e9e283daad4e667fec92e9bba3d7f7936f",
         )
+
+
+class TestCorruptedCorpus:
+    def test_reports(self):
+        # reports on seeded corruptions, line for line as the golden record
+        # has them
+        expected = RECORD.read_text(encoding="utf-8").splitlines()
+        assert list(corpus_lines()) == expected
+
+    def test_cli_case_file(self, tmp_path):
+        # the decoration file of the CLI golden is that case of the corpus
+        _, d = next(itertools.islice(cases(), CLI_CASE, None))
+        save_decoration(d, tmp_path / "d.json")
+        golden = GOLDEN / "corrupted_decoration.json"
+        assert (tmp_path / "d.json").read_bytes() == golden.read_bytes()
 
 
 class TestMorphismTable:
