@@ -35,6 +35,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_BOUND = 3
 
 _VERIFY_SEED = 20210
+# the forms suite draws matrices with 2h+1 of at most 7 columns
+_FORMS_MAX_H = 3
 
 class CheckFailure(Exception):
     """A verification ran to completion and found a violation."""
@@ -82,7 +84,7 @@ def cmd_parity(args: argparse.Namespace) -> int:
 # =========================================================================
 
 
-def _verify_okada(args: argparse.Namespace) -> None:
+def cmd_verify_okada(args: argparse.Namespace) -> int:
     import random
 
     from .exact_linalg import (
@@ -112,9 +114,10 @@ def _verify_okada(args: argparse.Namespace) -> None:
         f"({odd} odd-column, {samples - odd} even-column), sizes up to "
         f"{rows_bound}x{cols_bound}"
     )
+    return EXIT_OK
 
 
-def _verify_identities(args: argparse.Namespace) -> None:
+def cmd_verify_identities(args: argparse.Namespace) -> int:
     import itertools
 
     from .cyclic_category import dual_degeneracy, factorize_shift
@@ -182,9 +185,10 @@ def _verify_identities(args: argparse.Namespace) -> None:
         f"PASS cyclic factorization exists and is unique: {checks} "
         f"(face, rotation) pairs (codomain size <= {bound})"
     )
+    return EXIT_OK
 
 
-def _verify_forms(args: argparse.Namespace) -> None:
+def cmd_verify_forms(args: argparse.Namespace) -> int:
     import math
     import random
     from fractions import Fraction
@@ -203,8 +207,12 @@ def _verify_forms(args: argparse.Namespace) -> None:
 
     n_bound = args.n
     h_bound = args.h
-    if n_bound < 0 or h_bound < 0:
-        raise InvalidInputError("--n and --h must be nonnegative")
+    if n_bound < 0:
+        raise InvalidInputError("--n must be nonnegative")
+    if not 1 <= h_bound <= _FORMS_MAX_H:
+        raise InvalidInputError(
+            f"--h must be between 1 and {_FORMS_MAX_H}, got {h_bound}"
+        )
     gauge_checks = 0
     for n in range(n_bound + 1):
         alpha = connection_form(n)
@@ -231,8 +239,6 @@ def _verify_forms(args: argparse.Namespace) -> None:
     pull_checks = 0
     for h in range(1, h_bound + 1):
         cols = 2 * h + 1
-        if cols > 7:
-            break
         for _ in range(10):
             rows = rng.randint(cols, 7)
             columns = []
@@ -265,18 +271,6 @@ def _verify_forms(args: argparse.Namespace) -> None:
         f"PASS curvature power pullback equals scaled minor sum: "
         f"{pull_checks} stochastic matrices (h <= {h_bound})"
     )
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    suite = args.suite
-    if suite == "okada":
-        _verify_okada(args)
-    elif suite == "identities":
-        _verify_identities(args)
-    elif suite == "forms":
-        _verify_forms(args)
-    else:
-        raise InvalidInputError(f"unknown suite {suite!r}")
     return EXIT_OK
 
 
@@ -409,19 +403,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("letters", nargs="+", type=int)
     p.set_defaults(func=cmd_parity)
 
-    v = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="run an exact verification suite",
+    suites = sub.add_parser(
+        "verify", help="run an exact verification suite"
+    ).add_subparsers(dest="suite", required=True)
+    # each suite takes only its own flags, unabbreviated: "--n" and "--h"
+    # would otherwise stand for --no-timing and --help in another suite
+    suite_options = dict(parents=[common], allow_abbrev=False)
+    v = suites.add_parser(
+        "okada", help="the Okada Pfaffian identity", **suite_options
     )
-    v.add_argument("suite", choices=("identities", "forms", "okada"))
     v.add_argument("--rows", type=int, default=7)
     v.add_argument("--cols", type=int, default=5)
     v.add_argument("--samples", type=int, default=1000)
+    v.set_defaults(func=cmd_verify_okada)
+    v = suites.add_parser(
+        "identities",
+        help="duality and cyclic factorization of face operators",
+        **suite_options,
+    )
     v.add_argument("--max-k", type=int, default=5)
+    v.set_defaults(func=cmd_verify_identities)
+    v = suites.add_parser(
+        "forms", help="the connection-form lemmas", **suite_options
+    )
     v.add_argument("--n", type=int, default=4)
-    v.add_argument("--h", type=int, default=2)
-    v.set_defaults(func=cmd_verify)
+    v.add_argument("--h", type=int, default=2, help=f"at most {_FORMS_MAX_H}")
+    v.set_defaults(func=cmd_verify_forms)
 
     e = sub.add_parser(
         "extract",

@@ -4,7 +4,8 @@ Forms live on the trivial circle bundle over the standard simplex.  The base
 coordinates are barycentric; the highest-index coordinate is eliminated, so
 a form over the n-simplex is written in the reduced variables l_0 .. l_{n-1}
 together with the fiber differential dx.  Everything is exact: coefficients
-are multivariate polynomials over `fractions.Fraction`.
+are multivariate polynomials over `fractions.Fraction`, and a polynomial is
+a form of degree 0.
 
 The module provides the cyclic-invariant connection form, its curvature and
 curvature powers, and the three pullbacks that matter for the local Chern
@@ -24,7 +25,6 @@ from .words_necklaces import FaceOperator
 
 __all__ = [
     "DX",
-    "PolyCoefficient",
     "ExteriorForm",
     "AffineSimplexMap",
     "reduced_l",
@@ -43,168 +43,8 @@ __all__ = [
 # it sorts before every base index
 DX = -1
 
-Monomial = Tuple[int, ...]
-
-
-class PolyCoefficient(Frozen):
-    """Sparse polynomial in the reduced barycentric variables l_0 .. l_{arity-1}.
-
-    ``terms`` maps exponent tuples of length ``arity`` to nonzero rational
-    coefficients; the zero polynomial has empty support.
-    """
-
-    __slots__ = _fields = ("arity", "terms")
-    arity: int
-    terms: Dict[Monomial, Fraction]
-
-    def __init__(
-        self, arity: int, terms: Optional[Dict[Monomial, Fraction]] = None
-    ) -> None:
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", {} if terms is None else terms)
-        if self.arity < 0:
-            raise InvalidInputError("polynomial arity must be nonnegative")
-        cleaned = {}
-        for mono, coeff in self.terms.items():
-            if len(mono) != self.arity:
-                raise InvalidInputError(
-                    f"monomial {mono} has wrong length for arity {self.arity}"
-                )
-            if any(e < 0 for e in mono):
-                raise InvalidInputError(f"negative exponent in monomial {mono}")
-            c = _as_fraction(coeff)
-            if c != 0:
-                cleaned[tuple(mono)] = c
-        object.__setattr__(self, "terms", cleaned)
-
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def zero(arity: int) -> "PolyCoefficient":
-        return PolyCoefficient(arity, {})
-
-    @staticmethod
-    def const(arity: int, value) -> "PolyCoefficient":
-        return PolyCoefficient(arity, {(0,) * arity: _as_fraction(value)})
-
-    @staticmethod
-    def variable(arity: int, index: int) -> "PolyCoefficient":
-        if not 0 <= index < arity:
-            raise InvalidInputError(f"variable l_{index} out of range for arity {arity}")
-        mono = tuple(1 if v == index else 0 for v in range(arity))
-        return PolyCoefficient(arity, {mono: Fraction(1)})
-
-    # -- ring structure --------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (raises otherwise)."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {(0,) * self.arity}:
-            raise InvalidInputError("polynomial is not constant")
-        return self.terms[(0,) * self.arity]
-
-    def __add__(self, other: "PolyCoefficient") -> "PolyCoefficient":
-        if self.arity != other.arity:
-            raise DimensionMismatchError("adding polynomials of different arity")
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return PolyCoefficient(self.arity, terms)
-
-    def __neg__(self) -> "PolyCoefficient":
-        return PolyCoefficient(self.arity, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "PolyCoefficient") -> "PolyCoefficient":
-        return self + (-other)
-
-    def __mul__(self, other) -> "PolyCoefficient":
-        if isinstance(other, PolyCoefficient):
-            if self.arity != other.arity:
-                raise DimensionMismatchError(
-                    "multiplying polynomials of different arity"
-                )
-            terms: Dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-            return PolyCoefficient(self.arity, terms)
-        scalar = _as_fraction(other)
-        return PolyCoefficient(
-            self.arity, {m: c * scalar for m, c in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def power(self, exponent: int) -> "PolyCoefficient":
-        if exponent < 0:
-            raise InvalidInputError("negative polynomial power")
-        result = PolyCoefficient.const(self.arity, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    # -- calculus and substitution ---------------------------------------
-
-    def partial(self, index: int) -> "PolyCoefficient":
-        """Partial derivative with respect to l_index."""
-        if not 0 <= index < self.arity:
-            raise InvalidInputError(f"variable l_{index} out of range")
-        terms: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[index]
-            if e == 0:
-                continue
-            lowered = tuple(
-                v - 1 if pos == index else v for pos, v in enumerate(mono)
-            )
-            terms[lowered] = terms.get(lowered, Fraction(0)) + coeff * e
-        return PolyCoefficient(self.arity, terms)
-
-    def substitute(
-        self, new_arity: int, images: Sequence["PolyCoefficient"]
-    ) -> "PolyCoefficient":
-        """Ring homomorphism sending l_v to images[v]."""
-        if len(images) != self.arity:
-            raise DimensionMismatchError(
-                f"expected {self.arity} substitution images, got {len(images)}"
-            )
-        for img in images:
-            if img.arity != new_arity:
-                raise DimensionMismatchError("substitution image has wrong arity")
-        result = PolyCoefficient.zero(new_arity)
-        for mono, coeff in self.terms.items():
-            term = PolyCoefficient.const(new_arity, coeff)
-            for v, e in enumerate(mono):
-                if e:
-                    term = term * images[v].power(e)
-            result = result + term
-        return result
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            factors = [
-                f"l{v}" if e == 1 else f"l{v}^{e}"
-                for v, e in enumerate(mono)
-                if e
-            ]
-            if not factors:
-                pieces.append(str(coeff))
-            elif coeff == 1:
-                pieces.append("*".join(factors))
-            elif coeff == -1:
-                pieces.append("-" + "*".join(factors))
-            else:
-                pieces.append(f"{coeff}*" + "*".join(factors))
-        return " + ".join(pieces).replace("+ -", "- ")
+# a term's key: its differential indices and the exponents of its monomial
+Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def _merge_sign(left: Tuple[int, ...], right: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
@@ -228,21 +68,20 @@ def _merge_sign(left: Tuple[int, ...], right: Tuple[int, ...]) -> Tuple[Tuple[in
 class ExteriorForm(Frozen):
     """Homogeneous exterior form with polynomial coefficients.
 
-    Keys of ``terms`` are strictly increasing tuples of differential indices,
+    ``terms`` maps a pair (differentials, monomial) to a nonzero rational.
+    The differentials are a strictly increasing tuple of length ``degree``
     drawn from {DX} for the fiber differential dx and {0 .. arity-1} for the
-    reduced base differentials dl_i.  All keys have length ``degree``.
+    reduced base differentials dl_i; the monomial holds the ``arity``
+    exponents of l_0 .. l_{arity-1}.  A polynomial is a form of degree 0.
     """
 
     __slots__ = _fields = ("arity", "degree", "terms")
     arity: int
     degree: int
-    terms: Dict[Tuple[int, ...], PolyCoefficient]
+    terms: Dict[Key, Fraction]
 
     def __init__(
-        self,
-        arity: int,
-        degree: int,
-        terms: Optional[Dict[Tuple[int, ...], PolyCoefficient]] = None,
+        self, arity: int, degree: int, terms: Optional[Dict[Key, Fraction]] = None
     ) -> None:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "degree", degree)
@@ -250,8 +89,8 @@ class ExteriorForm(Frozen):
         if self.arity < 0 or self.degree < 0:
             raise InvalidInputError("arity and degree must be nonnegative")
         cleaned = {}
-        for indices, poly in self.terms.items():
-            indices = tuple(indices)
+        for (indices, mono), coeff in self.terms.items():
+            indices, mono = tuple(indices), tuple(mono)
             if len(indices) != self.degree:
                 raise InvalidInputError(
                     f"index tuple {indices} has wrong length for degree {self.degree}"
@@ -261,10 +100,15 @@ class ExteriorForm(Frozen):
             for idx in indices:
                 if idx != DX and not 0 <= idx < self.arity:
                     raise InvalidInputError(f"differential index {idx} out of range")
-            if poly.arity != self.arity:
-                raise InvalidInputError("coefficient arity does not match the form")
-            if not poly.is_zero():
-                cleaned[indices] = poly
+            if len(mono) != self.arity:
+                raise InvalidInputError(
+                    f"monomial {mono} has wrong length for arity {self.arity}"
+                )
+            if any(e < 0 for e in mono):
+                raise InvalidInputError(f"negative exponent in monomial {mono}")
+            c = _as_fraction(coeff)
+            if c != 0:
+                cleaned[indices, mono] = c
         object.__setattr__(self, "terms", cleaned)
 
     # -- constructors ----------------------------------------------------
@@ -274,24 +118,50 @@ class ExteriorForm(Frozen):
         return ExteriorForm(arity, degree, {})
 
     @staticmethod
-    def from_poly(poly: PolyCoefficient) -> "ExteriorForm":
-        return ExteriorForm(poly.arity, 0, {(): poly})
+    def const(arity: int, value) -> "ExteriorForm":
+        """The constant polynomial ``value``."""
+        return ExteriorForm(arity, 0, {((), (0,) * arity): value})
+
+    @staticmethod
+    def variable(arity: int, index: int) -> "ExteriorForm":
+        """The polynomial l_index."""
+        if not 0 <= index < arity:
+            raise InvalidInputError(
+                f"variable l_{index} out of range for arity {arity}"
+            )
+        mono = tuple(1 if v == index else 0 for v in range(arity))
+        return ExteriorForm(arity, 0, {((), mono): 1})
 
     @staticmethod
     def term(arity: int, indices: Sequence[int], coefficient) -> "ExteriorForm":
-        if isinstance(coefficient, PolyCoefficient):
-            poly = coefficient
-        else:
-            poly = PolyCoefficient.const(arity, coefficient)
-        return ExteriorForm(arity, len(tuple(indices)), {tuple(indices): poly})
+        """The wedge of the differentials ``indices`` times ``coefficient``,
+        a rational or a polynomial."""
+        indices = tuple(indices)
+        if not isinstance(coefficient, ExteriorForm):
+            coefficient = ExteriorForm.const(arity, coefficient)
+        elif coefficient.arity != arity or coefficient.degree != 0:
+            raise InvalidInputError(
+                "coefficient must be a polynomial of the form's arity"
+            )
+        return ExteriorForm(
+            arity,
+            len(indices),
+            {(indices, mono): c for (_, mono), c in coefficient.terms.items()},
+        )
 
-    # -- linear structure ------------------------------------------------
+    # -- algebra ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, indices: Sequence[int]) -> PolyCoefficient:
-        return self.terms.get(tuple(indices), PolyCoefficient.zero(self.arity))
+    def coefficient(self, indices: Sequence[int]) -> "ExteriorForm":
+        """The polynomial coefficient of the differentials ``indices``."""
+        indices = tuple(indices)
+        return ExteriorForm(
+            self.arity,
+            0,
+            {((), mono): c for (key, mono), c in self.terms.items() if key == indices},
+        )
 
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
         if self.arity != other.arity:
@@ -299,29 +169,23 @@ class ExteriorForm(Frozen):
         if self.degree != other.degree:
             raise DimensionMismatchError("adding forms of different degree")
         terms = dict(self.terms)
-        for indices, poly in other.terms.items():
-            if indices in terms:
-                terms[indices] = terms[indices] + poly
-            else:
-                terms[indices] = poly
+        for key, coeff in other.terms.items():
+            terms[key] = terms.get(key, 0) + coeff
         return ExteriorForm(self.arity, self.degree, terms)
 
     def __neg__(self) -> "ExteriorForm":
-        return ExteriorForm(
-            self.arity, self.degree, {i: -p for i, p in self.terms.items()}
-        )
+        return self * -1
 
     def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
         return self + (-other)
 
-    def __mul__(self, scalar) -> "ExteriorForm":
-        if isinstance(scalar, PolyCoefficient):
-            return ExteriorForm(
-                self.arity, self.degree, {i: p * scalar for i, p in self.terms.items()}
-            )
-        s = _as_fraction(scalar)
+    def __mul__(self, other) -> "ExteriorForm":
+        """The wedge product with a form; a rational scales."""
+        if isinstance(other, ExteriorForm):
+            return self.wedge(other)
+        s = _as_fraction(other)
         return ExteriorForm(
-            self.arity, self.degree, {i: p * s for i, p in self.terms.items()}
+            self.arity, self.degree, {key: c * s for key, c in self.terms.items()}
         )
 
     __rmul__ = __mul__
@@ -329,35 +193,15 @@ class ExteriorForm(Frozen):
     def wedge(self, other: "ExteriorForm") -> "ExteriorForm":
         if self.arity != other.arity:
             raise DimensionMismatchError("wedging forms of different arity")
-        terms: Dict[Tuple[int, ...], PolyCoefficient] = {}
-        for left, p in self.terms.items():
-            for right, q in other.terms.items():
+        terms: Dict[Key, Fraction] = {}
+        for (left, m1), c1 in self.terms.items():
+            for (right, m2), c2 in other.terms.items():
                 if set(left) & set(right):
                     continue
                 merged, sign = _merge_sign(left, right)
-                contribution = p * q * sign
-                if merged in terms:
-                    terms[merged] = terms[merged] + contribution
-                else:
-                    terms[merged] = contribution
+                key = (merged, tuple(a + b for a, b in zip(m1, m2)))
+                terms[key] = terms.get(key, 0) + c1 * c2 * sign
         return ExteriorForm(self.arity, self.degree + other.degree, terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for indices in sorted(self.terms):
-            wedge_part = "^".join("dx" if i == DX else f"dl{i}" for i in indices)
-            coeff = str(self.terms[indices])
-            if coeff == "1":
-                pieces.append(wedge_part if wedge_part else "1")
-            elif coeff == "-1":
-                pieces.append("-" + wedge_part)
-            elif "+" in coeff or "- " in coeff:
-                pieces.append(f"({coeff})*{wedge_part}")
-            else:
-                pieces.append(f"{coeff}*{wedge_part}" if wedge_part else coeff)
-        return " + ".join(pieces).replace("+ -", "- ")
 
 
 class AffineSimplexMap(Frozen):
@@ -408,7 +252,7 @@ class AffineSimplexMap(Frozen):
 # =========================================================================
 
 
-def reduced_l(n: int, i: int) -> PolyCoefficient:
+def reduced_l(n: int, i: int) -> ExteriorForm:
     """Barycentric coordinate l_i on the n-simplex in reduced variables.
 
     For i < n this is the variable itself; l_n is 1 minus the others.
@@ -416,10 +260,10 @@ def reduced_l(n: int, i: int) -> PolyCoefficient:
     if not 0 <= i <= n:
         raise InvalidInputError(f"coordinate l_{i} out of range on the {n}-simplex")
     if i < n:
-        return PolyCoefficient.variable(n, i)
-    result = PolyCoefficient.const(n, 1)
+        return ExteriorForm.variable(n, i)
+    result = ExteriorForm.const(n, 1)
     for a in range(n):
-        result = result - PolyCoefficient.variable(n, a)
+        result = result - ExteriorForm.variable(n, a)
     return result
 
 
@@ -462,23 +306,21 @@ def connection_form(n: int) -> ExteriorForm:
 
 def exterior_derivative(f: ExteriorForm) -> ExteriorForm:
     """The exterior derivative; coefficients never involve the fiber
-    coordinate itself, so only the base variables differentiate."""
-    terms: Dict[Tuple[int, ...], PolyCoefficient] = {}
-    for indices, poly in f.terms.items():
-        for v in range(f.arity):
-            if v in indices:
+    coordinate itself, so only the base variables differentiate.  The
+    partial derivative in l_v lowers the exponent e of l_v and multiplies
+    by e; moving dl_v to its sorted place past p smaller indices gives the
+    sign (-1)^p."""
+    terms: Dict[Key, Fraction] = {}
+    for (indices, mono), coeff in f.terms.items():
+        for v, e in enumerate(mono):
+            if e == 0 or v in indices:
                 continue
-            derivative = poly.partial(v)
-            if derivative.is_zero():
-                continue
-            position = sum(1 for e in indices if e < v)
-            sign = (-1) ** position
-            key = tuple(sorted(indices + (v,)))
-            contribution = derivative * sign
-            if key in terms:
-                terms[key] = terms[key] + contribution
-            else:
-                terms[key] = contribution
+            position = sum(1 for idx in indices if idx < v)
+            key = (
+                tuple(sorted(indices + (v,))),
+                mono[:v] + (e - 1,) + mono[v + 1 :],
+            )
+            terms[key] = terms.get(key, 0) + coeff * e * (-1) ** position
     return ExteriorForm(f.arity, f.degree + 1, terms)
 
 
@@ -513,24 +355,22 @@ def wedge_power(f: ExteriorForm, h: int) -> ExteriorForm:
 def _substitute_form(
     f: ExteriorForm,
     new_arity: int,
-    var_polys: Sequence[PolyCoefficient],
-    var_forms: Sequence[ExteriorForm],
-    dx_form: Optional[ExteriorForm],
+    images: Sequence[ExteriorForm],
+    dx_form: ExteriorForm,
 ) -> ExteriorForm:
-    """Pull back along the substitution l_v -> var_polys[v],
-    dl_v -> var_forms[v], dx -> dx_form."""
+    """Pull back along the substitution l_v -> images[v], so that
+    dl_v -> d images[v], and dx -> dx_form.  Each term expands as its
+    coefficient times the images of its monomial's variables, one factor
+    per unit of exponent, wedged with the images of its differentials."""
+    differentials = [exterior_derivative(image) for image in images]
     result = ExteriorForm.zero(new_arity, f.degree)
-    for indices, poly in f.terms.items():
-        piece = ExteriorForm.from_poly(poly.substitute(new_arity, var_polys))
+    for (indices, mono), coeff in f.terms.items():
+        piece = ExteriorForm.const(new_arity, coeff)
+        for v, e in enumerate(mono):
+            for _ in range(e):
+                piece = piece * images[v]
         for idx in indices:
-            if idx == DX:
-                if dx_form is None:
-                    raise InvalidInputError("form contains dx, no fiber image given")
-                piece = piece.wedge(dx_form)
-            else:
-                piece = piece.wedge(var_forms[idx])
-        if piece.is_zero():
-            continue
+            piece = piece * (dx_form if idx == DX else differentials[idx])
         result = result + piece
     return result
 
@@ -551,20 +391,15 @@ def pullback_affine(f: ExteriorForm, a: AffineSimplexMap) -> ExteriorForm:
     if k > n:
         raise DimensionMismatchError("affine map must not raise dimension")
     m = a.matrix
-    var_polys = []
-    var_forms = []
+    images = []
     for i in range(n):
         # l_i -> a_{ik} + sum over j < k of (a_{ij} - a_{ik}) t_j
-        poly = PolyCoefficient.const(k, m.entry(i, k))
-        form = ExteriorForm.zero(k, 1)
+        image = ExteriorForm.const(k, m.entry(i, k))
         for j in range(k):
             slope = m.entry(i, j) - m.entry(i, k)
-            if slope != 0:
-                poly = poly + PolyCoefficient.variable(k, j) * slope
-                form = form + ExteriorForm.term(k, (j,), slope)
-        var_polys.append(poly)
-        var_forms.append(form)
-    return _substitute_form(f, k, var_polys, var_forms, fiber_differential(k))
+            image = image + ExteriorForm.variable(k, j) * slope
+        images.append(image)
+    return _substitute_form(f, k, images, fiber_differential(k))
 
 
 def pullback_cyclic_gauge(f: ExteriorForm, n: int, i: int) -> ExteriorForm:
@@ -580,12 +415,11 @@ def pullback_cyclic_gauge(f: ExteriorForm, n: int, i: int) -> ExteriorForm:
             f"form lives on the {f.arity}-simplex, gauge acts on the {n}-simplex"
         )
     i %= n + 1
-    var_polys = [reduced_l(n, (a + i) % (n + 1)) for a in range(n)]
-    var_forms = [reduced_dl(n, (a + i) % (n + 1)) for a in range(n)]
+    images = [reduced_l(n, (a + i) % (n + 1)) for a in range(n)]
     dx_form = fiber_differential(n)
     for a in range(i):
         dx_form = dx_form - reduced_dl(n, a)
-    return _substitute_form(f, n, var_polys, var_forms, dx_form)
+    return _substitute_form(f, n, images, dx_form)
 
 
 def pullback_face(f: ExteriorForm, n: int, face: FaceOperator) -> ExteriorForm:

@@ -400,7 +400,7 @@ def subword_count(w: Word) -> int:
     return total
 
 
-def rational_parity(w: Word, budget: int = SUBWORD_BUDGET) -> Fraction:
+def rational_parity(w: Word) -> Fraction:
     """Expected sign over all proper subwords of ``w``.
 
     A proper subword picks one position for each letter; reading the chosen
@@ -410,15 +410,16 @@ def rational_parity(w: Word, budget: int = SUBWORD_BUDGET) -> Fraction:
     Raises
     ------
     ResourceBudgetError
-        If the subword count (product of multiplicities) exceeds ``budget``.
+        If the subword count (product of multiplicities) exceeds
+        ``SUBWORD_BUDGET``.
     """
     positions: Dict[int, List[int]] = {j: [] for j in range(w.alphabet_size)}
     for p, letter in enumerate(w.letters):
         positions[letter].append(p)
     count = subword_count(w)
-    if count > budget:
+    if count > SUBWORD_BUDGET:
         raise ResourceBudgetError(
-            f"{count} proper subwords exceed the enumeration budget {budget}"
+            f"{count} proper subwords exceed the enumeration budget {SUBWORD_BUDGET}"
         )
     odd = 0
     for choice in itertools.product(*positions.values()):

@@ -197,6 +197,45 @@ class TestVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identities", "--rows", "99"],
+            ["okada", "--max-k", "0"],
+            ["forms", "--samples", "10"],
+            ["okada", "--n", "2"],
+            ["identities", "--h", "2"],
+        ],
+    )
+    def test_flag_of_another_suite_rejected(self, capsys, argv):
+        # each suite takes only its own flags
+        flag, value = argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv, "--no-timing"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    @pytest.mark.parametrize("h", ["0", "4", "5"])
+    def test_forms_h_outside_its_limit_is_an_input_error(self, capsys, h):
+        code, out = run(capsys, "verify", "forms", "--n", "1", "--h", h, "--no-timing")
+        assert code == 2
+        assert out == f"input error: --h must be between 1 and 3, got {h}\n"
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["okada"], "verify_okada.txt"),
+            (["identities"], "verify_identities.txt"),
+            (["forms"], "verify_forms.txt"),
+            (["forms", "--n", "5", "--h", "3"], "verify_forms_n5_h3.txt"),
+        ],
+    )
+    def test_report_matches_golden(self, capsys, argv, golden):
+        code, out = run(capsys, "verify", *argv, "--no-timing")
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
 
 class TestExtractAndChern:
     def test_hopf_pipeline(self, capsys, tmp_path, hopf_path):

@@ -1,4 +1,7 @@
-"""Tests for the exact exterior algebra and the connection-form lemmas."""
+"""Tests for the exact exterior algebra and the connection-form lemmas.
+
+Polynomials are forms of degree 0; the tests of their ring structure
+reach it through the constructors, `*` and the pullbacks."""
 
 import itertools
 import math
@@ -11,7 +14,6 @@ from necklace_chern.cyclic_forms import (
     DX,
     AffineSimplexMap,
     ExteriorForm,
-    PolyCoefficient,
     connection_form,
     curvature,
     exterior_derivative,
@@ -31,48 +33,33 @@ from necklace_chern.exact_linalg import (
 )
 from necklace_chern.words_necklaces import delete_index_face, word
 
+from forms_terms import RECORD, corpus_lines, random_stochastic_map
+
 F = Fraction
-
-
-def const(arity, c):
-    return PolyCoefficient.const(arity, c)
-
-
-def var(arity, i):
-    return PolyCoefficient.variable(arity, i)
+const = ExteriorForm.const
+var = ExteriorForm.variable
 
 
 def random_poly(rng, arity, max_degree=2):
     terms = {}
     for _ in range(rng.randint(0, 4)):
         mono = tuple(rng.randint(0, max_degree) for _ in range(arity))
-        terms[mono] = F(rng.randint(-4, 4), rng.randint(1, 3))
-    return PolyCoefficient(arity, terms)
+        terms[(), mono] = F(rng.randint(-4, 4), rng.randint(1, 3))
+    return ExteriorForm(arity, 0, terms)
+
 
 def random_form(rng, arity, degree, with_dx=False):
     indices_pool = list(range(arity)) + ([DX] if with_dx else [])
-    terms = {}
+    polys = {}
     for _ in range(rng.randint(0, 4)):
         if len(indices_pool) < degree:
             break
         key = tuple(sorted(rng.sample(indices_pool, degree)))
-        terms[key] = random_poly(rng, arity)
-    return ExteriorForm(arity, degree, terms)
-
-
-def random_stochastic_map(rng, rows, cols, denominator_bound=4):
-    columns = []
-    for _ in range(cols):
-        weights = [rng.randint(0, denominator_bound) for _ in range(rows)]
-        if sum(weights) == 0:
-            weights[rng.randrange(rows)] = 1
-        total = sum(weights)
-        columns.append([F(w, total) for w in weights])
-    return AffineSimplexMap(
-        ExactMatrix.from_rows(
-            [[columns[j][i] for j in range(cols)] for i in range(rows)]
-        )
-    )
+        polys[key] = random_poly(rng, arity)
+    total = ExteriorForm.zero(arity, degree)
+    for key, poly in polys.items():
+        total = total + ExteriorForm.term(arity, key, poly)
+    return total
 
 
 def top_form(k, coefficient):
@@ -84,46 +71,85 @@ def top_form(k, coefficient):
 
 
 class TestPolyCoefficient:
+    """Polynomials as forms of degree 0.  The class keeps the name of the
+    polynomial type these tests were written for, so their ids stay
+    stable."""
+
     def test_zero_has_empty_support(self):
-        assert PolyCoefficient(2, {(1, 0): F(0)}).is_zero()
+        assert ExteriorForm(2, 0, {((), (1, 0)): F(0)}).is_zero()
+        assert const(2, 0) == ExteriorForm.zero(2, 0)
 
     def test_arithmetic(self):
         p = var(2, 0) + const(2, 3)
         q = var(2, 1)
-        assert (p * q).terms == {(1, 1): F(1), (0, 1): F(3)}
+        assert (p * q).terms == {((), (1, 1)): F(1), ((), (0, 1)): F(3)}
         assert (p - p).is_zero()
-        assert (2 * q).terms == {(0, 1): F(2)}
+        assert (2 * q).terms == {((), (0, 1)): F(2)}
+        assert (q * F(1, 2)).terms == {((), (0, 1)): F(1, 2)}
 
     def test_power(self):
         p = var(1, 0) + const(1, 1)
-        assert p.power(2).terms == {(2,): F(1), (1,): F(2), (0,): F(1)}
-        assert p.power(0) == const(1, 1)
+        expected = {((), (2,)): F(1), ((), (1,)): F(2), ((), (0,)): F(1)}
+        assert (p * p).terms == expected
+        assert wedge_power(p, 2).terms == expected
 
     def test_partial_derivative(self):
-        p = var(2, 0).power(2) * var(2, 1) * 3
-        assert p.partial(0).terms == {(1, 1): F(6)}
-        assert p.partial(1).terms == {(2, 0): F(3)}
-        assert const(2, 5).partial(0).is_zero()
+        # the derivative of a polynomial collects its partial derivatives
+        p = var(2, 0) * var(2, 0) * var(2, 1) * 3
+        assert exterior_derivative(p).terms == {
+            ((0,), (1, 1)): F(6),
+            ((1,), (2, 0)): F(3),
+        }
+        assert exterior_derivative(const(2, 5)).is_zero()
 
     def test_substitute(self):
-        p = var(2, 0) * var(2, 1)
-        images = [var(1, 0), const(1, 1) - var(1, 0)]
-        q = p.substitute(1, images)
-        assert q.terms == {(1,): F(1), (2,): F(-1)}
+        # l0 -> t0 and l1 -> 1 - t0: the face of the triangle at vertices 0, 1
+        a = AffineSimplexMap(ExactMatrix.from_rows([[1, 0], [0, 1], [0, 0]]))
+        q = pullback_affine(var(2, 0) * var(2, 1), a)
+        assert q.terms == {((), (1,)): F(1), ((), (2,)): F(-1)}
+        # a monomial with all exponents zero pulls back to the constant
+        assert pullback_affine(const(2, F(2, 5)), a) == const(1, F(2, 5))
 
     def test_constant_value(self):
-        assert const(3, F(2, 5)).constant_value() == F(2, 5)
-        assert PolyCoefficient.zero(3).constant_value() == 0
-        with pytest.raises(InvalidInputError):
-            var(3, 0).constant_value()
+        # a constant's value is its one term, at the zero monomial
+        assert const(3, F(2, 5)).terms == {((), (0, 0, 0)): F(2, 5)}
+        assert const(3, 0).terms == {}
+        assert ((), (0, 0, 0)) not in var(3, 0).terms
+
+    def test_coefficient_is_a_polynomial(self):
+        f = ExteriorForm.term(2, (0,), var(2, 1) * 3) + reduced_dl(2, 1)
+        assert f.coefficient((0,)) == var(2, 1) * 3
+        assert f.coefficient((1,)) == const(2, 1)
+        assert f.coefficient((DX,)).is_zero()
+
+    def test_polynomial_wedge_scales_a_form(self):
+        f = reduced_dl(2, 0) * var(2, 1)
+        assert f == var(2, 1) * reduced_dl(2, 0)
+        assert f.terms == {((0,), (0, 1)): F(1)}
 
     def test_mismatched_arity_rejected(self):
         with pytest.raises(DimensionMismatchError):
             var(2, 0) + var(3, 0)
+        with pytest.raises(DimensionMismatchError):
+            var(2, 0) * var(3, 0)
 
     def test_bad_monomial_rejected(self):
         with pytest.raises(InvalidInputError):
-            PolyCoefficient(2, {(1,): F(1)})
+            ExteriorForm(2, 0, {((), (1,)): F(1)})
+        with pytest.raises(InvalidInputError):
+            ExteriorForm(2, 0, {((), (1, -1)): F(1)})
+        with pytest.raises(InvalidInputError):
+            var(2, 2)
+        with pytest.raises(InvalidInputError):
+            const(-1, 1)
+
+    def test_bad_coefficient_rejected(self):
+        with pytest.raises(InvalidInputError):
+            ExteriorForm.term(2, (0,), var(3, 0))
+        with pytest.raises(InvalidInputError):
+            ExteriorForm.term(2, (0,), reduced_dl(2, 1))
+        with pytest.raises(InvalidInputError):
+            const(2, 0.5)
 
 
 # ------------------------------------------------------------------ forms
@@ -131,12 +157,12 @@ class TestPolyCoefficient:
 
 class TestExteriorForm:
     def test_canonical_drops_zero_coefficients(self):
-        f = ExteriorForm(2, 1, {(0,): PolyCoefficient.zero(2)})
+        f = ExteriorForm(2, 1, {((0,), (0, 0)): F(0)})
         assert f.is_zero()
 
     def test_unsorted_indices_rejected(self):
         with pytest.raises(InvalidInputError):
-            ExteriorForm(3, 2, {(1, 0): const(3, 1)})
+            ExteriorForm(3, 2, {((1, 0), (0, 0, 0)): F(1)})
 
     def test_wedge_antisymmetry(self):
         dl0 = reduced_dl(3, 0)
@@ -146,7 +172,7 @@ class TestExteriorForm:
 
     def test_dx_sorts_first(self):
         f = reduced_dl(2, 0).wedge(fiber_differential(2))
-        assert f.terms == {(DX, 0): const(2, -1)}
+        assert f.terms == {((DX, 0), (0, 0)): F(-1)}
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -179,7 +205,7 @@ def test_reduced_l_top_coordinate():
 
 def test_reduced_coordinates_sum():
     n = 4
-    total = PolyCoefficient.zero(n)
+    total = ExteriorForm.zero(n, 0)
     for i in range(n + 1):
         total = total + reduced_l(n, i)
     assert total == const(n, 1)
@@ -192,9 +218,7 @@ def test_reduced_coordinates_sum():
 def test_reduced_dl_is_derivative_of_reduced_l():
     for n in range(5):
         for i in range(n + 1):
-            assert exterior_derivative(
-                ExteriorForm.from_poly(reduced_l(n, i))
-            ) == reduced_dl(n, i)
+            assert exterior_derivative(reduced_l(n, i)) == reduced_dl(n, i)
 
 
 # ---------------------------------------------------- connection form
@@ -237,7 +261,7 @@ def test_derivative_simple_term():
 
 
 def test_derivative_of_constant_vanishes():
-    f = ExteriorForm.from_poly(const(3, 7))
+    f = const(3, 7)
     assert exterior_derivative(f).is_zero()
 
 
@@ -283,7 +307,7 @@ def test_curvature_examples():
 def hpow_reference(n, h):
     total = ExteriorForm.zero(n, 2 * h)
     for combo in itertools.combinations(range(n + 1), 2 * h):
-        piece = ExteriorForm.from_poly(const(n, 1))
+        piece = const(n, 1)
         for i in combo:
             piece = piece.wedge(reduced_dl(n, i))
         total = total + piece
@@ -440,3 +464,12 @@ def test_face_pullback_of_triangle_curvature():
 def test_face_pullback_size_mismatch():
     with pytest.raises(DimensionMismatchError):
         pullback_face(curvature(2), 2, delete_index_face(0, 2))
+
+
+# ---------------------------------------------------------- golden corpus
+
+
+def test_forms_terms_corpus():
+    # every term of every form in the record, exactly as the record has it
+    expected = RECORD.read_text(encoding="utf-8").splitlines()
+    assert list(corpus_lines()) == expected

@@ -29,7 +29,11 @@ TETRA_BOUNDARY = complexes.LocallyOrderedComplex.from_maximal(
 EDGE = complexes.LocallyOrderedComplex.from_maximal(2, [(0, 1)])
 PRISM = bundles.product_bundle(EDGE, 3)
 DECORATION = decorations.elementary_decoration(wn.word((0, 1, 2, 1)))
-POLY = cyclic_forms.PolyCoefficient(2, {(1, 0): Fraction(1, 2), (0, 2): -3})
+# (1/2 l_0 - 3 l_1^2) dx
+FORM_TERMS = {
+    ((cyclic_forms.DX,), (1, 0)): Fraction(1, 2),
+    ((cyclic_forms.DX,), (0, 2)): -3,
+}
 
 # class, its fields in order, and a factory of one valid instance
 CASES = [
@@ -108,11 +112,10 @@ CASES = [
         ("face", "shift"),
         lambda: cyclic_category.decompose_cyclic_injection((2, 0), 3),
     ),
-    (cyclic_forms.PolyCoefficient, ("arity", "terms"), lambda: POLY),
     (
         cyclic_forms.ExteriorForm,
         ("arity", "degree", "terms"),
-        lambda: cyclic_forms.ExteriorForm(2, 1, {(cyclic_forms.DX,): POLY}),
+        lambda: cyclic_forms.ExteriorForm(2, 1, FORM_TERMS),
     ),
     (
         cyclic_forms.AffineSimplexMap,
@@ -136,7 +139,7 @@ def _hashable(value) -> bool:
 
 
 def test_every_value_type_is_covered():
-    assert len(CASES) == 20
+    assert len(CASES) == 19
     assert set(Frozen.__subclasses__()) == {cls for cls, _, _ in CASES}
 
 
@@ -196,7 +199,5 @@ def test_validation_issue_simplex_defaults_to_none():
 
 
 def test_form_terms_default_to_a_fresh_dict():
-    a, b = cyclic_forms.PolyCoefficient(1), cyclic_forms.PolyCoefficient(1)
-    assert a.terms == {} and a.terms is not b.terms
     f, g = cyclic_forms.ExteriorForm(1, 1), cyclic_forms.ExteriorForm(1, 1)
     assert f.terms == {} and f.terms is not g.terms
